@@ -1,6 +1,7 @@
-//! The coordinator's LRU result cache.
+//! The coordinator's result caches: an in-memory LRU of rendered documents
+//! in front of a durable per-cell store.
 //!
-//! Keyed by the canonical `(config_hash, seed)` pair
+//! The LRU is keyed by the canonical `(config_hash, seed)` pair
 //! ([`crate::proto::config_key`]): two requests with the same key *plan the
 //! same cells under the same random universe*, so their merged documents are
 //! byte-identical by the determinism invariant — serving the stored bytes
@@ -19,24 +20,31 @@
 //! work is "bytes for a config", and storing post-render means a hit skips
 //! rendering too.
 //!
-//! ## The persistent layer
+//! ## The durable cell store
 //!
-//! [`PersistentCache`] (enabled with `serve --cache-dir`) puts the same
-//! key→document mapping on disk so a coordinator restart keeps its history:
-//! append-only jsonl segments (`cache-NNNNNNNN.jsonl`), one record per
-//! line, each carrying an FNV-1a checksum over `hash:seed:document`. The
-//! durability contract is *detect, don't trust*: a torn tail (crash mid
-//! append) or a garbled record (bit rot, truncation, a chaos test) fails
-//! the checksum or the parse and is **skipped with a counted warning** —
-//! never served, never fatal. Appends after a torn tail go to a fresh
-//! segment so the damage cannot spread. The in-memory [`ResultCache`] LRU
-//! fronts the disk layer: hot documents are served from memory, the disk is
-//! only read on an LRU miss, and every disk read re-verifies the checksum.
+//! [`CellStore`] (enabled with `serve --checkpoint-dir`) keeps every merged
+//! cell on disk, so a crashed job resumes where it stopped and a coordinator
+//! restart keeps its history. A cell's result is a pure function of
+//! `(config_hash, seed, list, index)`, so each `(key, list)` pair gets one
+//! append-only jsonl file, `ckpt-{hash:016x}-{seed}-{list}.jsonl`, with one
+//! `{"index","sum","result"}` line per cell; the sum is an FNV-1a checksum
+//! over `index:result`. The file name is the index, so nothing per cell is
+//! kept in memory, and a file is bounded by its job's size.
+//!
+//! The durability contract is *detect, don't trust*: a torn tail (crash mid
+//! append) or a garbled record (bit rot, truncation, a chaos test) fails the
+//! checksum or the parse and is **skipped and counted**, never served and
+//! never fatal. The startup scan counts damage at rest, and every restore
+//! verifies each record again. After a torn tail the next record starts on a
+//! fresh line, so it cannot fuse with the fragment. The in-memory
+//! [`ResultCache`] LRU fronts the store: a key whose cells are all on disk
+//! is rendered once and then answered from memory.
 
+use crate::engine::RunResult;
 use crate::faults::FaultPlan;
-use crate::proto::{fnv1a64, jstr, parse, Value};
-use std::collections::HashMap;
-use std::io::{Read, Seek, SeekFrom, Write};
+use crate::proto::{fnv1a64, parse, result_from_value, result_to_json, ShardList, Value};
+use std::collections::{HashMap, HashSet};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Default number of cached sweep documents. A default-config document is
@@ -130,7 +138,7 @@ impl ResultCache {
     }
 
     /// Count a served-from-cache response that bypassed [`ResultCache::get`]
-    /// (the coordinator's persistent tier): keeps the envelope's
+    /// (a disk hit answered from the [`CellStore`]): keeps the envelope's
     /// `cache_hits` counter meaning "responses served without execution"
     /// regardless of which tier answered.
     pub fn count_hit(&mut self) {
@@ -159,282 +167,178 @@ impl ResultCache {
 }
 
 // ---------------------------------------------------------------------------
-// Persistent on-disk cache
+// Durable per-cell store
 // ---------------------------------------------------------------------------
 
-/// Rotate to a fresh segment once the active one exceeds this many bytes.
-/// Segments stay small enough that a corrupt region quarantines little.
-pub const SEGMENT_ROTATE_BYTES: u64 = 8 << 20;
-
-/// Where a record's bytes live on disk.
-#[derive(Debug, Clone, Copy)]
-struct RecordLoc {
-    segment: u64,
-    offset: u64,
-    len: u64,
+/// The file holding one job list's cells. The name is the index: the store
+/// keeps nothing per cell in memory.
+pub fn cell_file(dir: &Path, (hash, seed): Key, list: ShardList) -> PathBuf {
+    dir.join(format!("ckpt-{hash:016x}-{seed}-{}.jsonl", list.name()))
 }
 
-/// Crash-safe persistent result cache: append-only checksummed jsonl
-/// segments under one directory. See the module docs for the durability
-/// contract.
-pub struct PersistentCache {
-    dir: PathBuf,
-    index: HashMap<Key, RecordLoc>,
-    /// Sequence number of the segment appends go to.
-    active_segment: u64,
-    /// Byte length of the active segment (== next append offset).
-    active_len: u64,
-    /// Records skipped as torn or corrupt, over the cache's lifetime
-    /// (restore scan + read-time verification).
-    corrupt_skipped: u64,
-    rotate_bytes: u64,
+/// Checksum binding a record's index to its result payload, so a flipped
+/// byte anywhere in the record is detected rather than merged.
+fn record_sum(index: usize, result_json: &str) -> u64 {
+    fnv1a64(format!("{index}:{result_json}").as_bytes())
 }
 
-fn segment_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("cache-{seq:08}.jsonl"))
-}
-
-/// Encode one record line (no trailing newline).
-fn encode_record(key: Key, document: &str) -> String {
-    let (hash, seed) = key;
-    let sum = record_sum(key, document);
-    format!(
-        "{{\"hash\":{hash},\"seed\":{seed},\"sum\":{sum},\"document\":{}}}",
-        jstr(document)
-    )
-}
-
-fn record_sum(key: Key, document: &str) -> u64 {
-    fnv1a64(format!("{}:{}:{document}", key.0, key.1).as_bytes())
-}
-
-/// Decode and verify one record line. `None` means torn/garbled.
-fn decode_record(line: &str) -> Option<(Key, String)> {
-    let v = parse(line).ok()?;
-    let hash = v.get("hash").and_then(Value::as_u64)?;
-    let seed = v.get("seed").and_then(Value::as_u64)?;
+/// Decode and verify one record line. `None` means torn or garbled.
+fn decode_record(line: &[u8]) -> Option<(usize, RunResult)> {
+    let v = parse(std::str::from_utf8(line).ok()?).ok()?;
+    let index = v.get("index").and_then(Value::as_usize)?;
     let sum = v.get("sum").and_then(Value::as_u64)?;
-    let document = v.get("document").and_then(Value::as_str)?.to_string();
-    (record_sum((hash, seed), &document) == sum).then_some(((hash, seed), document))
+    let result = result_from_value(v.get("result")?).ok()?;
+    // Re-render for the sum check: the writer produced `result_to_json`
+    // output, so a flipped byte inside a number or string changes it.
+    (record_sum(index, &result_to_json(&result)) == sum).then_some((index, result))
 }
 
-impl PersistentCache {
-    /// Open (creating if needed) the cache under `dir`, scanning every
-    /// segment to rebuild the key index. Torn and corrupt records are
-    /// skipped with a counted warning; later records for a key win.
-    pub fn open(dir: &Path) -> Result<Self, String> {
+/// Decode one store file: its verified `(index, result)` records in file
+/// order, and how many records were torn or garbled.
+fn decode_file(bytes: &[u8]) -> (Vec<(usize, RunResult)>, u64) {
+    let mut skipped = 0;
+    let cells = bytes
+        .split(|&b| b == b'\n')
+        .filter(|line| !line.is_empty())
+        .filter_map(|line| {
+            let cell = decode_record(line);
+            skipped += u64::from(cell.is_none());
+            cell
+        })
+        .collect();
+    (cells, skipped)
+}
+
+fn read(path: &Path) -> Result<Vec<u8>, String> {
+    std::fs::read(path).map_err(|e| format!("cell store {}: cannot read: {e}", path.display()))
+}
+
+/// Crash-safe per-cell result store: append-only checksummed jsonl files
+/// under one directory. See the module docs for the durability contract.
+pub struct CellStore {
+    dir: PathBuf,
+    /// Files whose tail is a torn fragment: their next record starts on a
+    /// fresh line instead of fusing with the fragment.
+    torn: HashSet<PathBuf>,
+    /// Records the startup scan found torn or garbled.
+    corrupt_skipped: u64,
+}
+
+impl CellStore {
+    /// Open (creating if needed) the store under `dir`. The fault plan's
+    /// `corrupt-cache-record=N` directives are applied first, so injected
+    /// corruption is indistinguishable from damage at rest; then every
+    /// record is verified and the damaged ones are counted.
+    pub fn open(dir: &Path, plan: &FaultPlan) -> Result<Self, String> {
         std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cache-dir {}: cannot create: {e}", dir.display()))?;
-        let mut segments: Vec<u64> = std::fs::read_dir(dir)
-            .map_err(|e| format!("cache-dir {}: cannot read: {e}", dir.display()))?
+            .map_err(|e| format!("cannot create checkpoint dir {}: {e}", dir.display()))?;
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+            .map_err(|e| format!("cannot read checkpoint dir {}: {e}", dir.display()))?
             .filter_map(|entry| {
                 let name = entry.ok()?.file_name().into_string().ok()?;
-                name.strip_prefix("cache-")?
-                    .strip_suffix(".jsonl")?
-                    .parse::<u64>()
-                    .ok()
+                (name.starts_with("ckpt-") && name.ends_with(".jsonl")).then(|| dir.join(name))
             })
             .collect();
-        segments.sort_unstable();
-
-        let mut cache = Self {
+        files.sort_unstable();
+        if !plan.corrupt_cache_records().is_empty() {
+            let clobbered = corrupt_records(&files, plan)?;
+            eprintln!("rh-serve: fault plan clobbered {clobbered} cell-store record(s)");
+        }
+        let mut store = Self {
             dir: dir.to_path_buf(),
-            index: HashMap::new(),
-            active_segment: segments.last().map_or(1, |&s| s),
-            active_len: 0,
+            torn: HashSet::new(),
             corrupt_skipped: 0,
-            rotate_bytes: SEGMENT_ROTATE_BYTES,
         };
-        let mut tail_is_torn = false;
-        for &seq in &segments {
-            let path = segment_path(dir, seq);
-            let bytes = std::fs::read(&path)
-                .map_err(|e| format!("cache segment {}: cannot read: {e}", path.display()))?;
-            let mut offset = 0u64;
-            for chunk in bytes.split_inclusive(|&b| b == b'\n') {
-                let terminated = chunk.ends_with(b"\n");
-                let line_bytes = if terminated {
-                    &chunk[..chunk.len() - 1]
-                } else {
-                    chunk
-                };
-                let line = std::str::from_utf8(line_bytes).unwrap_or("");
-                if !terminated || line.trim().is_empty() {
-                    // A torn tail (crash mid-append) — expected damage.
-                    if !line.trim().is_empty() {
-                        cache.skip(&path, offset, "torn record (no terminator)");
-                        if seq == cache.active_segment {
-                            tail_is_torn = true;
-                        }
-                    }
-                } else {
-                    match decode_record(line) {
-                        Some((key, _)) => {
-                            cache.index.insert(
-                                key,
-                                RecordLoc {
-                                    segment: seq,
-                                    offset,
-                                    len: line_bytes.len() as u64,
-                                },
-                            );
-                        }
-                        None => cache.skip(&path, offset, "garbled record (checksum/parse)"),
-                    }
-                }
-                offset += chunk.len() as u64;
-            }
-            if seq == cache.active_segment {
-                cache.active_len = offset;
-            }
+        for path in files {
+            let bytes = read(&path)?;
+            store.corrupt_skipped += store.load(path, &bytes).1;
         }
-        if tail_is_torn {
-            // Never append after a torn tail: the next record would fuse
-            // with the fragment and both would be unreadable.
-            cache.active_segment += 1;
-            cache.active_len = 0;
-        }
-        Ok(cache)
+        Ok(store)
     }
 
-    fn skip(&mut self, path: &Path, offset: u64, why: &str) {
-        self.corrupt_skipped += 1;
-        eprintln!(
-            "rh-cache: skipping {} at {} byte {offset} (record #{} skipped so far)",
-            why,
-            path.display(),
-            self.corrupt_skipped
+    /// Decode one file, logging its damage and noting a torn tail (a crash
+    /// mid-append) so the file's next record starts on a fresh line.
+    fn load(&mut self, path: PathBuf, bytes: &[u8]) -> (Vec<(usize, RunResult)>, u64) {
+        let (cells, skipped) = decode_file(bytes);
+        if skipped > 0 {
+            eprintln!(
+                "rh-cache: skipping {skipped} torn or garbled record(s) in {}",
+                path.display()
+            );
+        }
+        if bytes.last().is_some_and(|&b| b != b'\n') {
+            self.torn.insert(path);
+        }
+        (cells, skipped)
+    }
+
+    /// Read back one job list's cells, verifying every record again (the
+    /// file may have been damaged since the scan). Returns the intact
+    /// `(index, result)` records in file order and how many were skipped.
+    pub fn restore(&mut self, key: Key, list: ShardList) -> (Vec<(usize, RunResult)>, u64) {
+        let path = cell_file(&self.dir, key, list);
+        match std::fs::read(&path) {
+            Ok(bytes) => self.load(path, &bytes),
+            Err(_) => (Vec::new(), 0),
+        }
+    }
+
+    /// Append one merged cell. A write failure degrades durability, not the
+    /// response: it is logged, and the file is treated as torn.
+    pub fn append(&mut self, key: Key, list: ShardList, index: usize, result: &RunResult) {
+        let path = cell_file(&self.dir, key, list);
+        let result_json = result_to_json(result);
+        let fresh_line = if self.torn.remove(&path) { "\n" } else { "" };
+        let line = format!(
+            "{fresh_line}{{\"index\":{index},\"sum\":{},\"result\":{result_json}}}\n",
+            record_sum(index, &result_json)
         );
-    }
-
-    /// Read a document back, re-verifying its checksum (the file may have
-    /// been damaged since the open-time scan). A failed verification counts
-    /// as corrupt and un-indexes the record.
-    pub fn get(&mut self, key: Key) -> Option<String> {
-        let loc = *self.index.get(&key)?;
-        let path = segment_path(&self.dir, loc.segment);
-        let read = (|| -> std::io::Result<Vec<u8>> {
-            let mut file = std::fs::File::open(&path)?;
-            file.seek(SeekFrom::Start(loc.offset))?;
-            let mut buf = vec![0u8; loc.len as usize];
-            file.read_exact(&mut buf)?;
-            Ok(buf)
-        })();
-        let decoded = read
-            .ok()
-            .and_then(|buf| String::from_utf8(buf).ok())
-            .and_then(|line| decode_record(&line));
-        match decoded {
-            Some((k, document)) if k == key => Some(document),
-            _ => {
-                self.skip(&path, loc.offset, "unreadable record on get");
-                self.index.remove(&key);
-                None
-            }
-        }
-    }
-
-    /// Append a record (flushed before returning, so a coordinator crash
-    /// right after a job completes loses nothing already acknowledged),
-    /// rotating segments at the size bound.
-    pub fn put(&mut self, key: Key, document: &str) -> Result<(), String> {
-        if self.active_len >= self.rotate_bytes {
-            self.active_segment += 1;
-            self.active_len = 0;
-        }
-        let path = segment_path(&self.dir, self.active_segment);
-        let line = encode_record(key, document);
-        let mut file = std::fs::OpenOptions::new()
+        let written = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
-            .map_err(|e| format!("cache segment {}: cannot open: {e}", path.display()))?;
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.write_all(b"\n"))
-            .and_then(|()| file.flush())
-            .map_err(|e| format!("cache segment {}: write failed: {e}", path.display()))?;
-        self.index.insert(
-            key,
-            RecordLoc {
-                segment: self.active_segment,
-                offset: self.active_len,
-                len: line.len() as u64,
-            },
-        );
-        self.active_len += line.len() as u64 + 1;
-        Ok(())
+            .and_then(|mut f| f.write_all(line.as_bytes()));
+        if let Err(e) = written {
+            eprintln!(
+                "rh-serve: checkpoint append to {} failed: {e}",
+                path.display()
+            );
+            self.torn.insert(path);
+        }
     }
 
-    /// Number of keys currently readable from disk.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Lifetime count of records skipped as torn or corrupt.
+    /// Records the startup scan found torn or garbled.
     pub fn corrupt_skipped(&self) -> u64 {
         self.corrupt_skipped
     }
-
-    /// Override the rotation bound (tests exercise rotation without
-    /// writing megabytes).
-    pub fn set_rotate_bytes(&mut self, bytes: u64) {
-        self.rotate_bytes = bytes.max(1);
-    }
 }
 
-/// Apply a fault plan's `corrupt-cache-record=N` directives to the segments
-/// under `dir`: flip one seeded byte inside the N-th record line (1-based,
-/// in segment order). Returns how many records were actually clobbered.
-/// This is the coordinator-side injection point for the chaos suite — the
-/// corruption happens *before* [`PersistentCache::open`] scans the
-/// directory, exactly like damage at rest.
-pub fn corrupt_cache_segments(dir: &Path, plan: &FaultPlan) -> Result<u64, String> {
+/// Flip one seeded byte inside each record line a fault plan's
+/// `corrupt-cache-record=N` directives name (1-based, counted across the
+/// files in name order). Returns how many records were clobbered.
+fn corrupt_records(files: &[PathBuf], plan: &FaultPlan) -> Result<u64, String> {
     let targets = plan.corrupt_cache_records();
-    if targets.is_empty() || !dir.exists() {
-        return Ok(0);
-    }
-    let mut segments: Vec<u64> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cache-dir {}: cannot read: {e}", dir.display()))?
-        .filter_map(|entry| {
-            let name = entry.ok()?.file_name().into_string().ok()?;
-            name.strip_prefix("cache-")?
-                .strip_suffix(".jsonl")?
-                .parse::<u64>()
-                .ok()
-        })
-        .collect();
-    segments.sort_unstable();
-
-    let mut ordinal = 0u64;
-    let mut clobbered = 0u64;
-    for seq in segments {
-        let path = segment_path(dir, seq);
-        let mut bytes = std::fs::read(&path)
-            .map_err(|e| format!("cache segment {}: cannot read: {e}", path.display()))?;
-        let mut changed = false;
-        let mut line_start = 0usize;
+    let (mut ordinal, mut clobbered) = (0u64, 0u64);
+    for path in files {
+        let mut bytes = read(path)?;
+        let before = clobbered;
+        let mut start = 0;
         for end in 0..bytes.len() {
             if bytes[end] != b'\n' {
                 continue;
             }
             ordinal += 1;
             if targets.contains(&ordinal) {
-                let line = bytes[line_start..end].to_vec();
-                if let Some((offset, byte)) = plan.corrupt_byte_for(ordinal, &line) {
-                    bytes[line_start + offset] = byte;
-                    changed = true;
+                if let Some((offset, byte)) = plan.corrupt_byte_for(ordinal, &bytes[start..end]) {
+                    bytes[start + offset] = byte;
                     clobbered += 1;
                 }
             }
-            line_start = end + 1;
+            start = end + 1;
         }
-        if changed {
-            std::fs::write(&path, &bytes)
-                .map_err(|e| format!("cache segment {}: write failed: {e}", path.display()))?;
+        if clobbered > before {
+            std::fs::write(path, &bytes)
+                .map_err(|e| format!("cell store {}: write failed: {e}", path.display()))?;
         }
     }
     Ok(clobbered)
@@ -499,7 +403,7 @@ mod tests {
         assert_eq!(c.get((1, 0)).as_deref(), Some("a"));
     }
 
-    // -- Persistent layer --
+    // -- Durable cell store --
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -511,47 +415,83 @@ mod tests {
         dir
     }
 
+    fn cell(flips: u64) -> RunResult {
+        RunResult {
+            workload: "double_sided \"q\"\n".into(),
+            mitigation: "none".into(),
+            hc_first: 2000,
+            data_pattern: "legacy".into(),
+            activations: 1000,
+            total_flips: flips,
+            flipped_rows: 1,
+            flips_per_mact: 0.1 + flips as f64,
+            refreshes_issued: 0,
+            flips_1to0: flips,
+            flips_0to1: 0,
+            post_ecc_flips: None,
+        }
+    }
+
+    fn open(dir: &Path) -> CellStore {
+        CellStore::open(dir, &FaultPlan::default()).unwrap()
+    }
+
+    /// A restore as `(index, wire rendering)` pairs, comparable bit for bit.
+    fn restored(s: &mut CellStore, key: Key, list: ShardList) -> (Vec<(usize, String)>, u64) {
+        let (cells, skipped) = s.restore(key, list);
+        let cells = cells.iter().map(|(i, r)| (*i, result_to_json(r))).collect();
+        (cells, skipped)
+    }
+
+    /// The expected `(index, wire rendering)` pairs for `(index, flips)`.
+    fn want(cells: &[(usize, u64)]) -> Vec<(usize, String)> {
+        cells
+            .iter()
+            .map(|&(i, f)| (i, result_to_json(&cell(f))))
+            .collect()
+    }
+
     #[test]
     fn persistent_round_trip_survives_reopen() {
         let dir = scratch("roundtrip");
         {
-            let mut c = PersistentCache::open(&dir).unwrap();
-            c.put((1, 2), "doc with\nnewlines and \"quotes\"").unwrap();
-            c.put((3, 4), "other").unwrap();
-            // Append-only update: the later record wins.
-            c.put((1, 2), "doc v2").unwrap();
-            assert_eq!(c.get((1, 2)).as_deref(), Some("doc v2"));
+            let mut s = open(&dir);
+            s.append((1, 2), ShardList::Grid, 0, &cell(3));
+            s.append((1, 2), ShardList::Grid, 4, &cell(5));
+            s.append((1, 2), ShardList::Para, 0, &cell(7));
         }
-        let mut c = PersistentCache::open(&dir).unwrap();
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.corrupt_skipped(), 0);
-        assert_eq!(c.get((1, 2)).as_deref(), Some("doc v2"));
-        assert_eq!(c.get((3, 4)).as_deref(), Some("other"));
-        assert_eq!(c.get((9, 9)), None);
+        let mut s = open(&dir);
+        assert_eq!(s.corrupt_skipped(), 0);
+        let grid = restored(&mut s, (1, 2), ShardList::Grid);
+        assert_eq!(grid, (want(&[(0, 3), (4, 5)]), 0));
+        let para = restored(&mut s, (1, 2), ShardList::Para);
+        assert_eq!(para, (want(&[(0, 7)]), 0));
+        let other_seed = restored(&mut s, (1, 3), ShardList::Grid);
+        assert_eq!(other_seed, (vec![], 0), "the seed is part of the key");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_tail_is_skipped_counted_and_quarantined() {
         let dir = scratch("torn");
-        {
-            let mut c = PersistentCache::open(&dir).unwrap();
-            c.put((1, 1), "good").unwrap();
-        }
+        open(&dir).append((1, 1), ShardList::Grid, 0, &cell(1));
         // Simulate a crash mid-append: an unterminated record fragment.
-        let seg = segment_path(&dir, 1);
-        let mut bytes = std::fs::read(&seg).unwrap();
-        bytes.extend_from_slice(br#"{"hash":2,"seed":2,"sum":3,"docu"#);
-        std::fs::write(&seg, &bytes).unwrap();
+        let file = cell_file(&dir, (1, 1), ShardList::Grid);
+        let mut bytes = std::fs::read(&file).unwrap();
+        bytes.extend_from_slice(br#"{"index":1,"sum":3,"resu"#);
+        std::fs::write(&file, &bytes).unwrap();
 
-        let mut c = PersistentCache::open(&dir).unwrap();
-        assert_eq!(c.corrupt_skipped(), 1, "the torn tail must be counted");
-        assert_eq!(c.get((1, 1)).as_deref(), Some("good"), "good prefix holds");
-        // New appends must go to a fresh segment, not after the fragment.
-        c.put((5, 5), "post-crash").unwrap();
-        assert!(segment_path(&dir, 2).exists());
-        let reread = PersistentCache::open(&dir).unwrap().get((5, 5));
-        assert_eq!(reread.as_deref(), Some("post-crash"));
+        let mut s = open(&dir);
+        assert_eq!(s.corrupt_skipped(), 1, "the torn tail must be counted");
+        let grid = restored(&mut s, (1, 1), ShardList::Grid);
+        assert_eq!(grid, (want(&[(0, 1)]), 1));
+        // The next record must start a fresh line, not fuse with the fragment.
+        s.append((1, 1), ShardList::Grid, 1, &cell(2));
+        s.append((1, 1), ShardList::Grid, 2, &cell(3));
+        let mut s = open(&dir);
+        assert_eq!(s.corrupt_skipped(), 1, "only the fragment is damaged");
+        let grid = restored(&mut s, (1, 1), ShardList::Grid);
+        assert_eq!(grid, (want(&[(0, 1), (1, 2), (2, 3)]), 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -559,59 +499,57 @@ mod tests {
     fn garbled_record_fails_checksum_and_is_skipped() {
         let dir = scratch("garble");
         {
-            let mut c = PersistentCache::open(&dir).unwrap();
-            c.put((1, 1), "aaaa").unwrap();
-            c.put((2, 2), "bbbb").unwrap();
-            c.put((3, 3), "cccc").unwrap();
+            let mut s = open(&dir);
+            for i in 0..3 {
+                s.append((1, 1), ShardList::Grid, i, &cell(i as u64));
+            }
         }
         let plan = FaultPlan::parse("seed=5,corrupt-cache-record=2").unwrap();
-        assert_eq!(corrupt_cache_segments(&dir, &plan).unwrap(), 1);
-
-        let mut c = PersistentCache::open(&dir).unwrap();
-        assert_eq!(c.corrupt_skipped(), 1);
-        assert_eq!(c.get((1, 1)).as_deref(), Some("aaaa"));
-        assert_eq!(c.get((2, 2)), None, "the clobbered record must not serve");
-        assert_eq!(c.get((3, 3)).as_deref(), Some("cccc"));
+        let mut s = CellStore::open(&dir, &plan).unwrap();
+        assert_eq!(
+            s.corrupt_skipped(),
+            1,
+            "the scan counts the clobbered record"
+        );
+        assert_eq!(
+            restored(&mut s, (1, 1), ShardList::Grid),
+            (want(&[(0, 0), (2, 2)]), 1),
+            "the clobbered record must not serve"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn segments_rotate_at_the_size_bound() {
-        let dir = scratch("rotate");
-        let mut c = PersistentCache::open(&dir).unwrap();
-        c.set_rotate_bytes(64);
-        for i in 0..8u64 {
-            c.put((i, 0), &format!("document-{i}-padding-padding"))
-                .unwrap();
-        }
-        let segments = std::fs::read_dir(&dir).unwrap().count();
-        assert!(segments > 1, "64-byte bound must force rotation");
-        let mut c = PersistentCache::open(&dir).unwrap();
-        for i in 0..8u64 {
-            assert_eq!(
-                c.get((i, 0)).as_deref(),
-                Some(format!("document-{i}-padding-padding").as_str()),
-                "rotation must not lose records"
-            );
-        }
+    fn failed_append_is_survived_and_the_next_record_starts_fresh() {
+        let dir = scratch("write-fail");
+        let mut s = open(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        // The directory is gone: the append fails, is logged, and returns.
+        s.append((1, 1), ShardList::Grid, 0, &cell(1));
+        std::fs::create_dir_all(&dir).unwrap();
+        s.append((1, 1), ShardList::Grid, 1, &cell(2));
+        let grid = restored(&mut open(&dir), (1, 1), ShardList::Grid);
+        assert_eq!(grid, (want(&[(1, 2)]), 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn get_reverifies_and_unindexes_damage_after_open() {
+    fn restore_reverifies_damage_after_open() {
         let dir = scratch("reverify");
-        let mut c = PersistentCache::open(&dir).unwrap();
-        c.put((1, 1), "pristine").unwrap();
-        // Damage the segment *after* the open-time scan.
-        let seg = segment_path(&dir, 1);
-        let mut bytes = std::fs::read(&seg).unwrap();
+        let mut s = open(&dir);
+        s.append((1, 1), ShardList::Para, 0, &cell(9));
+        // Damage the file *after* the open-time scan.
+        let file = cell_file(&dir, (1, 1), ShardList::Para);
+        let mut bytes = std::fs::read(&file).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] = if bytes[mid] == b'#' { b'~' } else { b'#' };
-        std::fs::write(&seg, &bytes).unwrap();
-        assert_eq!(c.get((1, 1)), None, "a read must re-verify the checksum");
-        assert_eq!(c.corrupt_skipped(), 1);
-        assert_eq!(c.get((1, 1)), None, "the record must be un-indexed");
-        assert_eq!(c.corrupt_skipped(), 1, "second miss is a plain miss");
+        std::fs::write(&file, &bytes).unwrap();
+        assert_eq!(
+            restored(&mut s, (1, 1), ShardList::Para),
+            (vec![], 1),
+            "a read must re-verify the checksum"
+        );
+        assert_eq!(s.corrupt_skipped(), 0, "the scan saw an intact file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

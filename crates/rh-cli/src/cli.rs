@@ -27,15 +27,14 @@ USAGE:
                      [--validate] [--trials <N>] [--seed <N>]
     rh-cli serve [--workers <N>] [--listen <ADDR>] [--kernel <K>]
                  [--cache-capacity <N>] [--checkpoint-dir <DIR>]
-                 [--shard-cells <N>] [--cache-dir <DIR>] [--config-epoch <N>]
+                 [--shard-cells <N>] [--config-epoch <N>]
                  [--fallback-after-ms <MS>] [--speculate-after-ms <MS>]
                  [--fault-plan <PLAN>] [--max-pending-jobs <N>]
                  [--max-jobs-per-client <N>] [--max-cells-per-client <N>]
                  [--target-lease-ms <MS>] [--handshake-timeout-ms <MS>]
                  [--auth-token-file <PATH>]
-    rh-cli worker [--connect <ADDR>] [--exit-after-cells <N>]
-                  [--fault-plan <PLAN>] [--config-epoch <N>]
-                  [--retry <N>] [--backoff-ms <MS>]
+    rh-cli worker [--connect <ADDR>] [--fault-plan <PLAN>]
+                  [--config-epoch <N>] [--retry <N>] [--backoff-ms <MS>]
                   [--auth-token-file <PATH>]
     rh-cli submit --connect <ADDR> [--timeout <SECS>]
                   [--job-deadline-ms <MS>] [--auth-token-file <PATH>]
@@ -137,12 +136,13 @@ SERVE OPTIONS:
                             without it, configs are read as jsonl on stdin
     --kernel <K>            settle-kernel request sent with every shard
     --cache-capacity <N>    result-cache size in documents (default 128)
-    --checkpoint-dir <DIR>  append per-cell checkpoints; resubmits resume
+    --checkpoint-dir <DIR>  durable cell store: every merged cell is kept
+                            as a checksummed jsonl record, so crashed jobs
+                            resume and a restarted coordinator answers
+                            fully stored jobs from disk; corrupt records
+                            are skipped and counted, never served
+                            (--cache-dir is a second spelling)
     --shard-cells <N>       max cells per shard lease (default 16)
-    --cache-dir <DIR>       persistent result cache: completed documents
-                            survive coordinator restarts as checksummed
-                            jsonl segments; corrupt records are skipped
-                            and counted, never served
     --config-epoch <N>      config generation; worker hellos announcing a
                             different epoch are rejected (default 0)
     --fallback-after-ms <MS> graceful degradation: a job stranded this long
@@ -155,8 +155,8 @@ SERVE OPTIONS:
                             (default 10000; 0 disables speculation)
     --fault-plan <PLAN>     coordinator-side fault injection; the useful
                             directives here are corrupt-cache-record=N
-                            (clobber one byte of persistent record N before
-                            opening the cache), cancel-after-cells=N (cancel
+                            (clobber one byte of cell-store record N before
+                            the startup scan), cancel-after-cells=N (cancel
                             the owning job after the Nth merged cell) and
                             slow-client=MS (delay every client reply)
     --max-pending-jobs <N>  admission bound: submits past N unfinished jobs
@@ -187,9 +187,6 @@ WORKER OPTIONS:
     --connect <ADDR>        attach to a coordinator over TCP (default:
                             speak the jsonl protocol over stdio, as when
                             spawned by serve)
-    --exit-after-cells <N>  fault injection: drop the connection after N
-                            cells (for reassignment tests); alias for the
-                            fault-plan directive crash-after-cells=N
     --fault-plan <PLAN>     deterministic fault schedule, comma-separated
                             key=value directives: crash-after-cells=N,
                             stall-after-cells=N, stall-ms=MS, drop-line=N,
@@ -264,6 +261,14 @@ pub enum BenchInvocation {
     Analysis(AnalysisOptions),
 }
 
+/// The value following the flag at `args[*i]`, advancing `i` onto it.
+fn flag_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
+    *i += 1;
+    args.get(*i)
+        .cloned()
+        .ok_or_else(|| format!("{flag} requires a value"))
+}
+
 /// Parse the arguments following the `bench` subcommand. `--saturation` or
 /// `--analysis` anywhere switches to that mode's flag set (the modes share
 /// `--quick`/`--out` but disagree about everything else).
@@ -276,12 +281,7 @@ pub fn parse_bench_args(args: &[String]) -> Result<BenchInvocation, String> {
     }
     let mut opts = BenchOptions::default();
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
+    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => opts.quick = true,
@@ -320,12 +320,7 @@ pub fn parse_bench_args(args: &[String]) -> Result<BenchInvocation, String> {
 fn parse_saturation_args(args: &[String]) -> Result<BenchInvocation, String> {
     let mut opts = SaturationOptions::default();
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
+    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
     while i < args.len() {
         match args[i].as_str() {
             "--saturation" => {}
@@ -363,12 +358,7 @@ fn parse_saturation_args(args: &[String]) -> Result<BenchInvocation, String> {
 fn parse_analysis_args(args: &[String]) -> Result<BenchInvocation, String> {
     let mut opts = AnalysisOptions::default();
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
+    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
     while i < args.len() {
         match args[i].as_str() {
             "--analysis" => {}
@@ -416,12 +406,7 @@ pub fn parse_configure_args(args: &[String]) -> Result<ConfigureInvocation, Stri
     let mut target_pfail = None;
     let mut opts = ConfigureOptions::default();
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
+    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
     while i < args.len() {
         match args[i].as_str() {
             "--hc" => {
@@ -483,13 +468,10 @@ pub enum ServeInvocation {
 /// Parse the arguments following the `serve` subcommand.
 pub fn parse_serve_args(args: &[String]) -> Result<ServeInvocation, String> {
     let mut opts = ServeOptions::default();
+    // `--cache-dir` is a second spelling of `--checkpoint-dir`.
+    let mut cache_dir = None;
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
+    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
     while i < args.len() {
         match args[i].as_str() {
             "--workers" => {
@@ -522,9 +504,7 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeInvocation, String> {
                     return Err("--shard-cells must be at least 1".to_string());
                 }
             }
-            "--cache-dir" => {
-                opts.cache_dir = Some(value(&mut i, "--cache-dir")?.into());
-            }
+            "--cache-dir" => cache_dir = Some(value(&mut i, "--cache-dir")?.into()),
             "--config-epoch" => {
                 let v = value(&mut i, "--config-epoch")?;
                 opts.config_epoch = v
@@ -608,6 +588,11 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeInvocation, String> {
         }
         i += 1;
     }
+    if opts.checkpoint_dir.is_none() {
+        opts.checkpoint_dir = cache_dir;
+    } else if cache_dir.is_some() {
+        eprintln!("rh-serve: --cache-dir ignored: --checkpoint-dir names the cell store");
+    }
     if opts.workers == 0 && opts.listen.is_none() && opts.fallback_after.is_none() {
         return Err(
             "a coordinator with --workers 0 and no --listen could never execute anything \
@@ -630,25 +615,10 @@ pub enum WorkerInvocation {
 pub fn parse_worker_args(args: &[String]) -> Result<WorkerInvocation, String> {
     let mut opts = WorkerOptions::default();
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
+    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
     while i < args.len() {
         match args[i].as_str() {
             "--connect" => opts.connect = Some(value(&mut i, "--connect")?),
-            "--exit-after-cells" => {
-                let v = value(&mut i, "--exit-after-cells")?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --exit-after-cells '{v}'"))?;
-                if n == 0 {
-                    return Err("--exit-after-cells must be at least 1".to_string());
-                }
-                opts.exit_after_cells = Some(n);
-            }
             "--fault-plan" => {
                 opts.fault_plan = FaultPlan::parse(&value(&mut i, "--fault-plan")?)?;
             }
@@ -696,12 +666,7 @@ pub fn parse_submit_args(args: &[String]) -> Result<SubmitInvocation, String> {
     let mut deadline_ms = None;
     let mut auth_token = None;
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
+    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
     while i < args.len() {
         match args[i].as_str() {
             "--connect" => connect = Some(value(&mut i, "--connect")?),
@@ -757,12 +722,7 @@ pub fn parse_cancel_args(args: &[String]) -> Result<CancelInvocation, String> {
     let mut timeout = None;
     let mut auth_token = None;
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
+    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
     while i < args.len() {
         match args[i].as_str() {
             "--connect" => connect = Some(value(&mut i, "--connect")?),
@@ -831,12 +791,7 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
     let mut threads = default_threads();
     let mut kernel = KernelChoice::default();
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
+    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
     while i < args.len() {
         match args[i].as_str() {
             "--seed" => {
@@ -1275,24 +1230,17 @@ mod tests {
     #[test]
     fn worker_and_submit_args_parse_and_reject() {
         match parse_worker_args(&[]).unwrap() {
-            WorkerInvocation::Worker(o) => {
-                assert_eq!(o.connect, None);
-                assert_eq!(o.exit_after_cells, None);
-            }
+            WorkerInvocation::Worker(o) => assert_eq!(o.connect, None),
             WorkerInvocation::Help => panic!("unexpected help"),
         }
-        let owned: Vec<String> = ["--connect", "127.0.0.1:9", "--exit-after-cells", "3"]
+        let owned: Vec<String> = ["--connect", "127.0.0.1:9"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         match parse_worker_args(&owned).unwrap() {
-            WorkerInvocation::Worker(o) => {
-                assert_eq!(o.connect.as_deref(), Some("127.0.0.1:9"));
-                assert_eq!(o.exit_after_cells, Some(3));
-            }
+            WorkerInvocation::Worker(o) => assert_eq!(o.connect.as_deref(), Some("127.0.0.1:9")),
             WorkerInvocation::Help => panic!("unexpected help"),
         }
-        assert!(parse_worker_args(&["--exit-after-cells".to_string(), "0".to_string()]).is_err());
         assert!(parse_worker_args(&["--bogus".to_string()]).is_err());
 
         let owned: Vec<String> = ["--connect", "127.0.0.1:9"]
@@ -1332,8 +1280,9 @@ mod tests {
         match parse_serve_args(&owned).unwrap() {
             ServeInvocation::Serve(o) => {
                 assert_eq!(
-                    o.cache_dir.as_deref(),
-                    Some(std::path::Path::new("/tmp/rhcache"))
+                    o.checkpoint_dir.as_deref(),
+                    Some(std::path::Path::new("/tmp/rhcache")),
+                    "--cache-dir is a second spelling of --checkpoint-dir"
                 );
                 assert_eq!(o.config_epoch, 7);
                 assert_eq!(
@@ -1346,6 +1295,18 @@ mod tests {
                 );
                 assert_eq!(o.fault_plan.corrupt_cache_records(), &[2]);
             }
+            ServeInvocation::Help => panic!("unexpected help"),
+        }
+        // Given both spellings, --checkpoint-dir wins.
+        let owned: Vec<String> = ["--cache-dir", "/tmp/a", "--checkpoint-dir", "/tmp/b"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        match parse_serve_args(&owned).unwrap() {
+            ServeInvocation::Serve(o) => assert_eq!(
+                o.checkpoint_dir.as_deref(),
+                Some(std::path::Path::new("/tmp/b"))
+            ),
             ServeInvocation::Help => panic!("unexpected help"),
         }
         // --speculate-after-ms 0 disables speculation entirely.

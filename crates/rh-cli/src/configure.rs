@@ -40,6 +40,7 @@
 
 use crate::bench::{fnum, jstr};
 use crate::engine::{run_experiment, EngineScratch};
+use crate::json::num;
 use rh_analysis::{p_fail_direct, p_fail_dual, required_p, wilson_interval};
 use rh_core::{
     derive_seed, DeviceState, DeviceTables, Geometry, Kernel, RowAddr, VictimModelParams,
@@ -258,19 +259,11 @@ pub fn run_configure(opts: &ConfigureOptions) -> Result<ConfigureReport, String>
     })
 }
 
-/// Probabilities need full shortest-round-trip precision (a recommendation
-/// rounded to 3 decimals is a different recommendation); `fnum`'s fixed
-/// format is for wall-clock seconds.
-fn fprob(x: f64) -> String {
-    if x.is_finite() {
-        x.to_string()
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Render the report as a JSON document, in the same hand-rolled style as
-/// the sweep and bench emitters.
+/// the sweep and bench emitters. Probabilities render through
+/// [`crate::json::num`] at full shortest-round-trip precision (a
+/// recommendation rounded to 3 decimals is a different recommendation);
+/// `fnum`'s fixed format is for wall-clock seconds.
 pub fn render_configure(report: &ConfigureReport) -> String {
     let mut validation = "null".to_string();
     if let Some(v) = &report.validation {
@@ -281,10 +274,10 @@ pub fn render_configure(report: &ConfigureReport) -> String {
             v.trials,
             v.failures,
             v.seed,
-            fprob(v.empirical_rate),
+            num(v.empirical_rate),
             fnum(CROSSVAL_Z),
-            fprob(v.band_lo),
-            fprob(v.band_hi),
+            num(v.band_lo),
+            num(v.band_hi),
             v.pass,
         );
     }
@@ -303,11 +296,11 @@ pub fn render_configure(report: &ConfigureReport) -> String {
         jstr("PARA sampling rate from the closed-form failure model"),
         report.hc_first,
         report.window,
-        fprob(report.target_pfail),
-        fprob(report.recommended_p),
-        fprob(report.analytic_pfail),
-        fprob(report.analytic_pfail_dual),
-        fprob(report.divergence),
+        num(report.target_pfail),
+        num(report.recommended_p),
+        num(report.analytic_pfail),
+        num(report.analytic_pfail_dual),
+        num(report.divergence),
     );
     out
 }

@@ -19,7 +19,7 @@
 //! | `drop-line=N` | worker | silently drop the N-th outgoing protocol line |
 //! | `garble-line=N` | worker | corrupt the N-th outgoing protocol line |
 //! | `delay-connect-ms=MS` | worker | sleep before connecting / greeting |
-//! | `corrupt-cache-record=N` | coordinator | flip a byte in the N-th persistent-cache record at startup |
+//! | `corrupt-cache-record=N` | coordinator | flip a byte in the N-th cell-store record at startup |
 //! | `wrong-token=1` | worker | present a corrupted auth proof in the hello |
 //! | `cancel-after-cells=N` | coordinator | cancel a job the moment its N-th cell merges |
 //! | `slow-client=MS` | coordinator | stall each client reply by MS (a slow-reading client) |
@@ -154,14 +154,6 @@ impl FaultPlan {
             && self.slow_client_millis == 0
     }
 
-    /// Fold the legacy `--exit-after-cells N` knob into the plan; an
-    /// explicit `crash-after-cells` directive wins.
-    pub fn merge_exit_after_cells(&mut self, exit_after: Option<u64>) {
-        if self.crash_after_cells.is_none() {
-            self.crash_after_cells = exit_after;
-        }
-    }
-
     /// Delay to apply before connecting / greeting the coordinator.
     pub fn connect_delay(&self) -> Option<Duration> {
         (self.delay_connect_millis > 0).then(|| Duration::from_millis(self.delay_connect_millis))
@@ -183,8 +175,7 @@ impl FaultPlan {
         CellFate::Continue
     }
 
-    /// The scheduled crash trigger, if any (observability for tests and for
-    /// merging the legacy `--exit-after-cells` knob).
+    /// The scheduled crash trigger, if any (observability for tests).
     pub fn crash_pending_at(&self) -> Option<u64> {
         self.crash_after_cells
     }
@@ -222,7 +213,7 @@ impl FaultPlan {
         LineFate::Send
     }
 
-    /// 1-based indices of persistent-cache records to corrupt at startup.
+    /// 1-based indices of cell-store records to corrupt at startup.
     pub fn corrupt_cache_records(&self) -> &[u64] {
         &self.corrupt_cache_records
     }
@@ -333,16 +324,6 @@ mod tests {
         assert_eq!(plan.on_cell(), CellFate::Stall(Duration::from_millis(5)));
         assert_eq!(plan.on_cell(), CellFate::Crash);
         assert_eq!(plan.on_cell(), CellFate::Continue);
-    }
-
-    #[test]
-    fn exit_after_cells_merges_but_never_overrides() {
-        let mut plan = FaultPlan::default();
-        plan.merge_exit_after_cells(Some(4));
-        assert_eq!(plan.crash_pending_at(), Some(4));
-        let mut plan = FaultPlan::parse("crash-after-cells=2").unwrap();
-        plan.merge_exit_after_cells(Some(9));
-        assert_eq!(plan.crash_pending_at(), Some(2));
     }
 
     #[test]

@@ -14,30 +14,12 @@
 //! [`crate::proto::config_from_value`].
 
 use crate::engine::RunResult;
+use crate::proto::jstr;
 use crate::sweep::SweepOutput;
 use std::fmt::Write;
 
-/// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render a finite float; JSON has no NaN/Inf so those become null.
-fn num(x: f64) -> String {
+pub(crate) fn num(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {
@@ -51,11 +33,11 @@ fn num(x: f64) -> String {
 /// pre-Section-5 reporter.
 fn run_result(r: &RunResult, indent: &str, extended: bool) -> String {
     let mut row = format!(
-        "{indent}{{\"workload\": \"{}\", \"mitigation\": \"{}\", \"hc_first\": {}, \
+        "{indent}{{\"workload\": {}, \"mitigation\": {}, \"hc_first\": {}, \
          \"activations\": {}, \"total_flips\": {}, \"flipped_rows\": {}, \
          \"flips_per_mact\": {}, \"refreshes_issued\": {}",
-        escape(&r.workload),
-        escape(&r.mitigation),
+        jstr(&r.workload),
+        jstr(&r.mitigation),
         r.hc_first,
         r.activations,
         r.total_flips,
@@ -66,8 +48,8 @@ fn run_result(r: &RunResult, indent: &str, extended: bool) -> String {
     if extended {
         let _ = write!(
             row,
-            ", \"data_pattern\": \"{}\", \"flips_1to0\": {}, \"flips_0to1\": {}",
-            escape(&r.data_pattern),
+            ", \"data_pattern\": {}, \"flips_1to0\": {}, \"flips_0to1\": {}",
+            jstr(&r.data_pattern),
             r.flips_1to0,
             r.flips_0to1,
         );
@@ -146,8 +128,14 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        let r = RunResult {
+            workload: "a\"b\\c\nd".into(),
+            mitigation: "\u{1}".into(),
+            ..sample_result()
+        };
+        let row = run_result(&r, "", false);
+        assert!(row.contains(r#""workload": "a\"b\\c\nd""#), "{row}");
+        assert!(row.contains(r#""mitigation": "\u0001""#), "{row}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod sweep;
 pub mod worker;
 
 pub use bench::{run_bench, BenchOptions, BenchReport};
-pub use cache::{PersistentCache, ResultCache};
+pub use cache::{CellStore, ResultCache};
 pub use configure::{
     analytic_pfail, empirical_failure_rate, recommended_p, run_configure, ConfigureOptions,
     ConfigureReport, CROSSVAL_Z,

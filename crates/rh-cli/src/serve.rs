@@ -17,19 +17,22 @@
 //! Service machinery layered on top:
 //!
 //! * **Result cache** ([`crate::cache`]): completed documents are stored
-//!   under the canonical `(config_hash, seed)` key; a repeated request is
-//!   served from memory without touching a worker, observable via the
+//!   in memory under the canonical `(config_hash, seed)` key; a repeated
+//!   request is served without touching a worker, observable via the
 //!   `served_from_cache` flag and coordinator-lifetime `cache_hits`
 //!   counter in the response envelope.
+//! * **Durable cell store** ([`crate::cache::CellStore`]): with
+//!   `--checkpoint-dir`, every merged cell is appended to disk under
+//!   `(config_hash, seed, list, index)`. A submit that misses the memory
+//!   cache looks up its cells there: if every cell is present it is
+//!   answered at once (`served_from_cache`, counted in `disk_hits`), even
+//!   across a coordinator restart; otherwise the job keeps the restored
+//!   cells and leases only the misses (`checkpoint_cells` in the envelope
+//!   counts the restored ones).
 //! * **Single-flight dedup**: a submit whose key matches an in-flight job
 //!   doesn't execute — it waits on that job and is served from the cache
 //!   the moment the primary lands (`coalesced: true`). N concurrent
 //!   identical requests cost one execution.
-//! * **Checkpointing**: with `--checkpoint-dir`, every merged cell is
-//!   appended to a jsonl file keyed by `(config_hash, seed, list)`. A
-//!   resubmit after a crash or cancel loads the file, fills the slots it
-//!   covers, and schedules only the missing cells (`checkpoint_cells` in
-//!   the envelope counts the restored ones).
 //! * **Worker-death recovery**: a worker connection dropping mid-shard
 //!   requeues the lease minus the cells that already streamed back; another
 //!   worker re-executes only the remainder. Determinism makes re-execution
@@ -62,14 +65,14 @@
 //!   stdio workers are exempt — the pipe itself is the trust boundary;
 //!   auth guards the TCP front door.
 
-use crate::cache::{corrupt_cache_segments, PersistentCache, ResultCache};
+use crate::cache::{CellStore, ResultCache};
 use crate::engine::RunResult;
 use crate::faults::FaultPlan;
 use crate::json;
 use crate::plan::SweepPlan;
 use crate::proto::{
-    self, encode_error, fnv1a64, read_line, write_line, ClientMsg, FromWorker, ResultEnvelope,
-    ShardList, ToWorker, WorkerStat, PROTO_VERSION,
+    self, encode_error, read_line, write_line, ClientMsg, FromWorker, ResultEnvelope, ShardList,
+    ToWorker, WorkerStat, PROTO_VERSION,
 };
 use crate::sweep::{SweepConfig, SweepOutput};
 use rh_core::KernelChoice;
@@ -111,8 +114,9 @@ pub struct ServeOptions {
     pub kernel: KernelChoice,
     /// Result-cache capacity in documents.
     pub cache_capacity: usize,
-    /// Directory for per-shard checkpoint files; `None` disables
-    /// checkpointing.
+    /// Directory of the durable cell store: every merged cell is kept
+    /// there, so crashed jobs resume and results survive restarts. `None`
+    /// keeps results in memory only.
     pub checkpoint_dir: Option<PathBuf>,
     /// Maximum cells per shard lease.
     pub shard_cells: usize,
@@ -120,16 +124,12 @@ pub struct ServeOptions {
     /// (tests point it at the real `rh-cli` binary).
     pub worker_program: Option<PathBuf>,
     /// Extra argv per local worker index (fault injection in tests:
-    /// `["--exit-after-cells", "7"]` for worker 0 only).
+    /// `["--fault-plan", "crash-after-cells=7"]` for worker 0 only).
     pub worker_extra_args: Vec<Vec<String>>,
-    /// Coordinator-side fault plan. Today the only coordinator-side
-    /// directive is `corrupt-cache-record=N`, applied to the persistent
-    /// cache segments *before* they are opened (simulating disk rot across
-    /// a restart).
+    /// Coordinator-side fault plan: `corrupt-cache-record=N` (applied to
+    /// the cell store *before* its startup scan, simulating disk rot
+    /// across a restart), `cancel-after-cells=N` and `slow-client=MS`.
     pub fault_plan: FaultPlan,
-    /// Directory for the persistent result cache; `None` keeps results in
-    /// memory only.
-    pub cache_dir: Option<PathBuf>,
     /// Graceful degradation: when a job has waited this long without any
     /// live worker, the submitting thread claims the job's leases and
     /// executes them in-process. `None` (default) preserves fail-fast.
@@ -172,7 +172,6 @@ impl Default for ServeOptions {
             worker_program: None,
             worker_extra_args: Vec::new(),
             fault_plan: FaultPlan::default(),
-            cache_dir: None,
             fallback_after: None,
             config_epoch: 0,
             speculate_after: Some(Duration::from_secs(10)),
@@ -242,6 +241,52 @@ struct Job {
 }
 
 impl Job {
+    fn new(
+        plan: Arc<SweepPlan>,
+        key: (u64, u64),
+        kernel: KernelChoice,
+        client: &str,
+        deadline_ms: Option<u64>,
+    ) -> Self {
+        let now = Instant::now();
+        Self {
+            grid: vec![None; plan.grid.len()],
+            para: vec![None; plan.para_sweep.len()],
+            remaining: plan.grid.len() + plan.para_sweep.len(),
+            plan,
+            key,
+            kernel,
+            executed_cells: 0,
+            checkpoint_cells: 0,
+            checkpoint_skipped: 0,
+            speculations: 0,
+            duplicate_cells: 0,
+            workers: BTreeMap::new(),
+            client: client.to_string(),
+            deadline: deadline_ms.map(|ms| now + Duration::from_millis(ms)),
+            admitted_at: now,
+            queue_wait_ms: None,
+            done: None,
+        }
+    }
+
+    /// Fill the job's slots with whatever the cell store holds for its key,
+    /// so only the remainder gets scheduled. A bad record costs one cell,
+    /// not the file, and is counted in `checkpoint_skipped`.
+    fn restore(&mut self, store: &mut CellStore) {
+        for list in [ShardList::Grid, ShardList::Para] {
+            let (cells, skipped) = store.restore(self.key, list);
+            self.checkpoint_skipped += skipped;
+            for (index, result) in cells {
+                if let Some(slot @ None) = self.slot(list, index) {
+                    *slot = Some(result);
+                    self.remaining -= 1;
+                    self.checkpoint_cells += 1;
+                }
+            }
+        }
+    }
+
     fn slot(&mut self, list: ShardList, index: usize) -> Option<&mut Option<RunResult>> {
         match list {
             ShardList::Grid => self.grid.get_mut(index),
@@ -256,8 +301,8 @@ struct State {
     named: HashMap<String, u64>,
     queue: VecDeque<Lease>,
     cache: ResultCache,
-    /// Crash-safe on-disk cache behind the LRU (`--cache-dir`).
-    persistent: Option<PersistentCache>,
+    /// Durable per-cell store behind the LRU (`--checkpoint-dir`).
+    store: Option<CellStore>,
     /// Key → job id of the in-flight execution (single-flight dedup).
     inflight: HashMap<(u64, u64), u64>,
     /// Shard id → supervision record for every lease out on a worker.
@@ -285,7 +330,7 @@ struct State {
     rejected_connections: u64,
     /// Workers refused for protocol-version or config-epoch skew.
     rejected_workers: u64,
-    /// Submits answered from the persistent (on-disk) cache.
+    /// Submits answered from the cell store with every cell on disk.
     disk_hits: u64,
     /// Submits refused by admission control or quotas (or client auth).
     rejected_submits: u64,
@@ -306,7 +351,6 @@ struct Inner {
     /// Signaled on job completion, hello, and failure.
     done: Condvar,
     kernel: KernelChoice,
-    checkpoint_dir: Option<PathBuf>,
     shard_cells: usize,
     /// TCP listen mode: workers may attach later, so an empty pool blocks
     /// instead of failing jobs.
@@ -351,19 +395,8 @@ impl Coordinator {
     /// Spawn local workers, bind the listener (if any), and wait for every
     /// local worker's hello so submits never race worker startup.
     pub fn start(opts: ServeOptions) -> Result<Self, String> {
-        // The coordinator-side fault plan runs *before* the persistent
-        // cache opens: injected corruption is indistinguishable from real
-        // disk rot, so recovery is exercised on the same code path.
-        let persistent = match &opts.cache_dir {
-            Some(dir) => {
-                if !opts.fault_plan.corrupt_cache_records().is_empty() {
-                    let clobbered = corrupt_cache_segments(dir, &opts.fault_plan)?;
-                    eprintln!(
-                        "rh-serve: fault plan clobbered {clobbered} persistent cache record(s)"
-                    );
-                }
-                Some(PersistentCache::open(dir)?)
-            }
+        let store = match &opts.checkpoint_dir {
+            Some(dir) => Some(CellStore::open(dir, &opts.fault_plan)?),
             None => None,
         };
         let inner = Arc::new(Inner {
@@ -372,7 +405,7 @@ impl Coordinator {
                 named: HashMap::new(),
                 queue: VecDeque::new(),
                 cache: ResultCache::new(opts.cache_capacity),
-                persistent,
+                store,
                 inflight: HashMap::new(),
                 active: HashMap::new(),
                 ewma_cell_millis: None,
@@ -395,7 +428,6 @@ impl Coordinator {
             work: Condvar::new(),
             done: Condvar::new(),
             kernel: opts.kernel,
-            checkpoint_dir: opts.checkpoint_dir.clone(),
             shard_cells: opts.shard_cells.max(1),
             allow_late_workers: opts.listen.is_some(),
             config_epoch: opts.config_epoch,
@@ -410,11 +442,6 @@ impl Coordinator {
             slow_client_delay: opts.fault_plan.slow_client_delay(),
             cancel_after_cells: opts.fault_plan.cancel_after_cells(),
         });
-        if let Some(dir) = &inner.checkpoint_dir {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create checkpoint dir {}: {e}", dir.display()))?;
-        }
-
         let listen_addr = match &opts.listen {
             Some(addr) => {
                 let listener =
@@ -588,7 +615,7 @@ impl Coordinator {
             .rejected_connections
     }
 
-    /// Submits served from the persistent (on-disk) cache.
+    /// Submits answered from the cell store with every cell on disk.
     pub fn disk_hits(&self) -> u64 {
         self.inner.state.lock().expect("coordinator lock").disk_hits
     }
@@ -643,15 +670,15 @@ impl Coordinator {
             .evictions()
     }
 
-    /// Corrupt or torn persistent-cache records skipped since open.
+    /// Torn or garbled cell-store records the startup scan skipped.
     pub fn cache_corrupt_skipped(&self) -> u64 {
         self.inner
             .state
             .lock()
             .expect("coordinator lock")
-            .persistent
+            .store
             .as_ref()
-            .map_or(0, PersistentCache::corrupt_skipped)
+            .map_or(0, CellStore::corrupt_skipped)
     }
 
     /// Stop accepting work, shut down workers, and join handler threads.
@@ -732,8 +759,7 @@ impl Inner {
         }
         let id = id.unwrap_or_else(|| format!("job-{}", st.next_job));
 
-        // 1. Cache: the in-memory LRU first, then the persistent segments
-        //    (which survive coordinator restarts); a disk hit warms the LRU.
+        // 1. The in-memory LRU.
         if let Some(document) = st.cache.get(key) {
             let stats = EnvStats {
                 served_from_cache: true,
@@ -741,18 +767,32 @@ impl Inner {
             };
             return Ok(envelope(&id, key, &st, stats, document));
         }
-        if let Some(document) = st.persistent.as_mut().and_then(|p| p.get(key)) {
-            st.cache.put(key, document.clone());
-            st.cache.count_hit();
-            st.disk_hits += 1;
-            let stats = EnvStats {
-                served_from_cache: true,
-                ..EnvStats::default()
-            };
-            return Ok(envelope(&id, key, &st, stats, document));
+
+        // 2. The cell store: with every cell on disk the job is answered
+        //    like a cache hit, and the LRU is warmed. An in-flight job for
+        //    the key has cells still missing, so that case coalesces below
+        //    without reading the store.
+        let mut job = Job::new(plan, key, inner.kernel, client, deadline_ms);
+        if !st.inflight.contains_key(&key) {
+            if let Some(store) = st.store.as_mut() {
+                job.restore(store);
+                if job.remaining == 0 {
+                    let document = finalize_document(&job);
+                    st.cache.put(key, document.clone());
+                    st.cache.count_hit();
+                    st.disk_hits += 1;
+                    let stats = EnvStats {
+                        served_from_cache: true,
+                        checkpoint_cells: job.checkpoint_cells,
+                        checkpoint_skipped: job.checkpoint_skipped,
+                        ..EnvStats::default()
+                    };
+                    return Ok(envelope(&id, key, &st, stats, document));
+                }
+            }
         }
 
-        // 2. Coalesce onto an identical in-flight job.
+        // 3. Coalesce onto an identical in-flight job.
         if let Some(&primary) = st.inflight.get(&key) {
             loop {
                 let outcome = st
@@ -784,18 +824,18 @@ impl Inner {
             }
         }
 
-        // 3. Admission control. Only genuinely new work is gated: cache
+        // 4. Admission control. Only genuinely new work is gated: cache
         //    hits and coalesced waits above cost no worker time. Reasons
         //    are machine-readable — they travel the wire as
         //    `{"type":"reject","reason":...}`.
-        let job_cells = plan.grid.len() + plan.para_sweep.len();
+        let job_cells = job.grid.len() + job.para.len();
         let pending = st.jobs.values().filter(|j| j.done.is_none());
         let (mut total, mut mine, mut my_cells) = (0usize, 0usize, 0usize);
-        for job in pending {
+        for other in pending {
             total += 1;
-            if job.client == client {
+            if other.client == client {
                 mine += 1;
-                my_cells += job.remaining;
+                my_cells += other.remaining;
             }
         }
         let refused = if total >= inner.max_pending_jobs {
@@ -813,50 +853,9 @@ impl Inner {
             return Err(SubmitError::Rejected(reason.to_string()));
         }
 
-        // 4. New job.
+        // 5. New job: it keeps the restored cells and leases only the misses.
         let job_id = st.next_job;
         st.next_job += 1;
-        let mut job = Job {
-            grid: vec![None; plan.grid.len()],
-            para: vec![None; plan.para_sweep.len()],
-            remaining: plan.grid.len() + plan.para_sweep.len(),
-            plan: Arc::clone(&plan),
-            key,
-            kernel: inner.kernel,
-            executed_cells: 0,
-            checkpoint_cells: 0,
-            checkpoint_skipped: 0,
-            speculations: 0,
-            duplicate_cells: 0,
-            workers: BTreeMap::new(),
-            client: client.to_string(),
-            deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
-            admitted_at: Instant::now(),
-            queue_wait_ms: None,
-            done: None,
-        };
-        if let Some(dir) = &inner.checkpoint_dir {
-            load_checkpoints(dir, &mut job);
-        }
-
-        if job.remaining == 0 {
-            // Fully restored from checkpoints: no worker needed at all.
-            job.queue_wait_ms = Some(0);
-            let document = finalize_document(&job);
-            st.cache.put(key, document.clone());
-            persist_document(&mut st, key, &document);
-            let stats = EnvStats {
-                checkpoint_cells: job.checkpoint_cells,
-                checkpoint_skipped: job.checkpoint_skipped,
-                ..EnvStats::default()
-            };
-            job.done = Some(Ok(document.clone()));
-            st.jobs.insert(job_id, job);
-            st.named.insert(id.clone(), job_id);
-            inner.done.notify_all();
-            return Ok(envelope(&id, key, &st, stats, document));
-        }
-
         if st.live_workers == 0 && !inner.allow_late_workers && inner.fallback_after.is_none() {
             return Err(SubmitError::Failed(
                 "no live workers and none can attach (start with --workers or --listen)"
@@ -891,7 +890,7 @@ impl Inner {
         st.queue.extend(leases);
         inner.work.notify_all();
 
-        // 5. Wait for the merge. With `--fallback-after`, a job stranded
+        // 6. Wait for the merge. With `--fallback-after`, a job stranded
         //    without any live worker past the deadline is claimed by this
         //    very thread: its queued leases are pulled and executed
         //    in-process — degraded to exactly what `rh-cli sweep` does,
@@ -1062,17 +1061,6 @@ fn list_slot(list: ShardList) -> usize {
     match list {
         ShardList::Grid => 0,
         ShardList::Para => 1,
-    }
-}
-
-/// Write a completed document through to the persistent cache (when one is
-/// configured). A write failure degrades durability, not the response —
-/// log and move on.
-fn persist_document(st: &mut MutexGuard<'_, State>, key: (u64, u64), document: &str) {
-    if let Some(p) = st.persistent.as_mut() {
-        if let Err(e) = p.put(key, document) {
-            eprintln!("rh-serve: persistent cache write failed: {e}");
-        }
     }
 }
 
@@ -1249,95 +1237,6 @@ fn finalize_document(job: &Job) -> String {
         para_monotone,
     };
     json::render(&out)
-}
-
-// ---------------------------------------------------------------------------
-// Checkpointing
-// ---------------------------------------------------------------------------
-
-fn checkpoint_path(dir: &Path, key: (u64, u64), list: ShardList) -> PathBuf {
-    dir.join(format!(
-        "ckpt-{:016x}-{}-{}.jsonl",
-        key.0,
-        key.1,
-        list.name()
-    ))
-}
-
-/// Checksum binding a checkpoint record's index to its result payload, so
-/// a flipped byte anywhere in the record is detected rather than merged.
-fn checkpoint_sum(index: usize, result_json: &str) -> u64 {
-    fnv1a64(format!("{index}:{result_json}").as_bytes())
-}
-
-/// One record of a checkpoint file, parsed and checksum-verified. `None`
-/// means the record is torn or garbled and must be skipped (and counted).
-fn decode_checkpoint_line(line: &str) -> Option<(usize, RunResult)> {
-    let v = proto::parse(line).ok()?;
-    let index = v.get("index").and_then(proto::Value::as_usize)?;
-    let sum = v.get("sum").and_then(proto::Value::as_u64)?;
-    let result_value = v.get("result")?;
-    let result = proto::result_from_value(result_value).ok()?;
-    // Re-render for the sum check: render(parse(x)) is canonical here
-    // because the writer produced `result_to_json` output in the first
-    // place, and a flipped byte inside a number or bool changes it.
-    let result_json = proto::result_to_json(&result);
-    (checkpoint_sum(index, &result_json) == sum).then_some((index, result))
-}
-
-/// Load whatever a previous run checkpointed for this job's key, filling
-/// result slots so only the remainder gets scheduled. Torn lines (a crash
-/// mid-append) and garbled records (checksum mismatch) are skipped and
-/// counted — a bad record costs one cell, not the file, and the skip is
-/// observable as `checkpoint_skipped` in the envelope.
-fn load_checkpoints(dir: &Path, job: &mut Job) {
-    for list in [ShardList::Grid, ShardList::Para] {
-        let path = checkpoint_path(dir, job.key, list);
-        let Ok(contents) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        for line in contents.lines() {
-            match decode_checkpoint_line(line) {
-                Some((index, result)) => {
-                    if let Some(slot @ None) = job.slot(list, index) {
-                        *slot = Some(result);
-                        job.remaining -= 1;
-                        job.checkpoint_cells += 1;
-                    }
-                }
-                None => {
-                    job.checkpoint_skipped += 1;
-                    eprintln!(
-                        "rh-serve: skipping garbled checkpoint record in {} \
-                         ({} skipped for this job so far)",
-                        path.display(),
-                        job.checkpoint_skipped
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Append one merged cell to its job's checkpoint file.
-fn checkpoint_cell(dir: &Path, key: (u64, u64), list: ShardList, index: usize, r: &RunResult) {
-    let path = checkpoint_path(dir, key, list);
-    let result_json = proto::result_to_json(r);
-    let line = format!(
-        "{{\"index\":{index},\"sum\":{},\"result\":{result_json}}}\n",
-        checkpoint_sum(index, &result_json)
-    );
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = written {
-        eprintln!(
-            "rh-serve: checkpoint append to {} failed: {e}",
-            path.display()
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1765,13 +1664,12 @@ fn record_cell(
         );
         return;
     }
-    if let Some(dir) = &inner.checkpoint_dir {
-        checkpoint_cell(dir, key, list, index, &result);
+    if let Some(store) = st.store.as_mut() {
+        store.append(key, list, index, &result);
     }
     if complete {
         let document = finalize_document(&st.jobs[&job_id]);
         st.cache.put(key, document.clone());
-        persist_document(st, key, &document);
         st.inflight.remove(&key);
         if let Some(job) = st.jobs.get_mut(&job_id) {
             job.done = Some(Ok(document));
@@ -2391,7 +2289,7 @@ mod tests {
                 named: HashMap::new(),
                 queue: VecDeque::new(),
                 cache: ResultCache::new(8),
-                persistent: None,
+                store: None,
                 inflight: HashMap::new(),
                 active: HashMap::new(),
                 ewma_cell_millis: None,
@@ -2414,7 +2312,6 @@ mod tests {
             work: Condvar::new(),
             done: Condvar::new(),
             kernel: KernelChoice::Auto,
-            checkpoint_dir: None,
             shard_cells: 4,
             allow_late_workers: true,
             config_epoch: 0,
@@ -2439,25 +2336,13 @@ mod tests {
         let mut st = inner.state.lock().unwrap();
         let job_id = st.next_job;
         st.next_job += 1;
-        let job = Job {
-            grid: vec![None; plan.grid.len()],
-            para: vec![None; plan.para_sweep.len()],
-            remaining: plan.grid.len() + plan.para_sweep.len(),
-            plan: Arc::clone(&plan),
-            key: (0xABCD, cfg.seed),
-            kernel: KernelChoice::Auto,
-            executed_cells: 0,
-            checkpoint_cells: 0,
-            checkpoint_skipped: 0,
-            speculations: 0,
-            duplicate_cells: 0,
-            workers: BTreeMap::new(),
-            client: "test-client".to_string(),
-            deadline: None,
-            admitted_at: Instant::now(),
-            queue_wait_ms: None,
-            done: None,
-        };
+        let job = Job::new(
+            plan,
+            (0xABCD, cfg.seed),
+            KernelChoice::Auto,
+            "test-client",
+            None,
+        );
         st.jobs.insert(job_id, job);
         (job_id, results)
     }
@@ -2648,12 +2533,13 @@ mod tests {
         let (job_id, results) = seed_job(&inner, &cfg);
         let key = inner.state.lock().unwrap().jobs[&job_id].key;
 
-        checkpoint_cell(&dir, key, ShardList::Grid, 0, &results[0]);
-        checkpoint_cell(&dir, key, ShardList::Para, 0, &results[0]);
+        let mut store = CellStore::open(&dir, &FaultPlan::default()).unwrap();
+        store.append(key, ShardList::Grid, 0, &results[0]);
+        store.append(key, ShardList::Para, 0, &results[0]);
 
         // Flip bytes mid-record in the para file: parseable or not, the
         // checksum no longer matches and the record must not be trusted.
-        let path = checkpoint_path(&dir, key, ShardList::Para);
+        let path = crate::cache::cell_file(&dir, key, ShardList::Para);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] = bytes[mid].wrapping_add(1);
@@ -2661,26 +2547,8 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let plan = Arc::new(SweepPlan::from_config(&cfg).unwrap());
-        let mut job = Job {
-            grid: vec![None; plan.grid.len()],
-            para: vec![None; plan.para_sweep.len()],
-            remaining: plan.grid.len() + plan.para_sweep.len(),
-            plan,
-            key,
-            kernel: KernelChoice::Auto,
-            executed_cells: 0,
-            checkpoint_cells: 0,
-            checkpoint_skipped: 0,
-            speculations: 0,
-            duplicate_cells: 0,
-            workers: BTreeMap::new(),
-            client: "test-client".to_string(),
-            deadline: None,
-            admitted_at: Instant::now(),
-            queue_wait_ms: None,
-            done: None,
-        };
-        load_checkpoints(&dir, &mut job);
+        let mut job = Job::new(plan, key, KernelChoice::Auto, "test-client", None);
+        job.restore(&mut store);
         assert_eq!(job.checkpoint_cells, 1, "the good grid record restores");
         assert_eq!(job.checkpoint_skipped, 1, "the garbled para record skips");
         assert!(job.grid[0].is_some());
@@ -2688,6 +2556,45 @@ mod tests {
             job.para[0].is_none(),
             "a garbled record must not fill a slot"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fully_stored_job_is_a_disk_hit_and_warms_the_lru() {
+        let dir = scratch("disk-hit");
+        let cfg = small_config();
+        let key = proto::config_key(&cfg);
+        let plan = SweepPlan::from_config(&cfg).unwrap();
+        let mut store = CellStore::open(&dir, &FaultPlan::default()).unwrap();
+        for (list, cells) in [
+            (ShardList::Grid, &plan.grid),
+            (ShardList::Para, &plan.para_sweep),
+        ] {
+            let results = crate::exec::execute_cells(&plan, cells, 1);
+            for (index, result) in results.iter().enumerate() {
+                store.append(key, list, index, result);
+            }
+        }
+        let inner = test_inner();
+        inner.state.lock().unwrap().store = Some(store);
+
+        // No worker exists: only the store can answer.
+        let env = Inner::submit(&inner, None, &cfg, "c", None).expect("disk hit");
+        assert!(env.served_from_cache);
+        assert_eq!(env.executed_cells, 0);
+        assert_eq!(
+            env.checkpoint_cells,
+            (plan.grid.len() + plan.para_sweep.len()) as u64
+        );
+        assert_eq!(inner.state.lock().unwrap().disk_hits, 1);
+        let reference = json::render(&crate::sweep::run_sweep(&cfg, 1).unwrap());
+        assert_eq!(env.document, reference);
+
+        let again = Inner::submit(&inner, None, &cfg, "c", None).expect("LRU hit");
+        assert!(again.served_from_cache);
+        assert_eq!(again.checkpoint_cells, 0, "the LRU answers, not the store");
+        assert_eq!(again.cache_hits, 2);
+        assert_eq!(inner.state.lock().unwrap().disk_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

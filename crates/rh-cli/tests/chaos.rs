@@ -3,8 +3,8 @@
 //! Every scenario here asserts the same north star as `distributed.rs` —
 //! the merged document is byte-identical to the in-process sweep — but
 //! under a `--fault-plan`: crashed workers, dropped and garbled protocol
-//! lines, stalled stragglers (speculative re-execution), corrupted
-//! persistent-cache segments, garbled checkpoint records, and workers
+//! lines, stalled stragglers (speculative re-execution), corrupted and
+//! torn cell-store records, and workers
 //! arriving with the wrong protocol version or config epoch. Faults may
 //! cost retransmits and duplicate work; they must never change the bytes.
 
@@ -59,8 +59,8 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// Tentpole 1: a scheduled crash via `--fault-plan crash-after-cells=5`
-/// behaves exactly like the legacy `--exit-after-cells 5` kill — the
-/// survivor absorbs the remainder and the bytes match.
+/// behaves exactly like a real mid-shard kill — the survivor absorbs the
+/// remainder and the bytes match.
 #[test]
 fn crash_fault_plan_is_reassigned_and_stays_byte_identical() {
     let cfg = chaos_config();
@@ -144,10 +144,10 @@ fn stalled_worker_is_speculated_and_bytes_are_unaffected() {
     assert_eq!(env.document, chaos_reference());
 }
 
-/// Tentpole 4 + 5 acceptance: the persistent result cache survives a
-/// coordinator restart (a resubmit is served from disk without executing
-/// a cell), and a corrupted segment record is skipped and counted — the
-/// job silently re-executes to the same bytes.
+/// Tentpole 4 + 5 acceptance: the cell store survives a coordinator
+/// restart (a resubmit is served from disk without executing a cell), and
+/// a corrupted record is skipped and counted — only that cell re-executes,
+/// to the same bytes.
 #[test]
 fn persistent_cache_survives_restart_and_contains_corruption() {
     let dir = scratch_dir("cache");
@@ -156,7 +156,7 @@ fn persistent_cache_survives_restart_and_contains_corruption() {
 
     // Run 1: populate the cache.
     let mut opts = opts_with_workers(1);
-    opts.cache_dir = Some(dir.clone());
+    opts.checkpoint_dir = Some(dir.clone());
     let coordinator = Coordinator::start(opts).expect("start");
     let first = coordinator.submit(None, &cfg).expect("first submit");
     coordinator.shutdown();
@@ -166,7 +166,7 @@ fn persistent_cache_survives_restart_and_contains_corruption() {
     // Run 2: a fresh coordinator over the same directory serves the
     // identical request from disk — no worker touches it.
     let mut opts = opts_with_workers(1);
-    opts.cache_dir = Some(dir.clone());
+    opts.checkpoint_dir = Some(dir.clone());
     let coordinator = Coordinator::start(opts).expect("restart");
     let env = coordinator.submit(None, &cfg).expect("restored submit");
     assert!(env.served_from_cache, "restart must not lose the cache");
@@ -176,11 +176,11 @@ fn persistent_cache_survives_restart_and_contains_corruption() {
     assert_eq!(coordinator.disk_hits(), 1);
     coordinator.shutdown();
 
-    // Run 3: the fault plan clobbers a byte of the first cache record
-    // before the segments are read back. The record fails its checksum,
-    // is skipped and counted, and the job re-executes — same bytes.
+    // Run 3: the fault plan clobbers a byte of the first cell record
+    // before the store is scanned. The record fails its checksum, is
+    // skipped and counted, and that one cell re-executes — same bytes.
     let mut opts = opts_with_workers(1);
-    opts.cache_dir = Some(dir.clone());
+    opts.checkpoint_dir = Some(dir.clone());
     opts.fault_plan = FaultPlan::parse("corrupt-cache-record=1").expect("plan");
     let coordinator = Coordinator::start(opts).expect("restart over corruption");
     assert!(
@@ -195,7 +195,7 @@ fn persistent_cache_survives_restart_and_contains_corruption() {
         !env.served_from_cache,
         "a corrupt record must never be served"
     );
-    assert_eq!(env.executed_cells, cell_count(&cfg));
+    assert_eq!(env.executed_cells, 1, "only the clobbered cell re-executes");
     assert_eq!(env.document, reference, "re-execution must be byte-exact");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -296,6 +296,62 @@ fn garbled_checkpoint_record_is_skipped_and_reexecuted_on_restore() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A crash mid-append leaves a torn fragment at the tail of a checkpoint
+/// file. The resumed run must append its first record on a fresh line, not
+/// fuse it with the fragment: a third coordinator then restores every cell
+/// and skips only the fragment.
+#[test]
+fn torn_checkpoint_tail_does_not_swallow_the_next_record() {
+    let dir = scratch_dir("ckpt-torn");
+    let cfg = chaos_config();
+    let total = cell_count(&cfg);
+
+    // Run 1: the sole worker crashes after 5 cells.
+    let mut opts = opts_with_workers(1);
+    opts.checkpoint_dir = Some(dir.clone());
+    opts.worker_extra_args = vec![vec!["--fault-plan".into(), "crash-after-cells=5".into()]];
+    let coordinator = Coordinator::start(opts).expect("start");
+    let err = coordinator
+        .submit(None, &cfg)
+        .expect_err("sole worker crashed: the job cannot finish");
+    assert!(err.contains("workers exited"), "got: {err}");
+    coordinator.shutdown();
+
+    // A crash mid-append: an unterminated fragment ends the grid file.
+    let grid = std::fs::read_dir(&dir)
+        .expect("checkpoint dir")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .find(|p| p.to_string_lossy().contains("grid"))
+        .expect("a grid checkpoint file");
+    let mut bytes = std::fs::read(&grid).expect("read checkpoint");
+    bytes.extend_from_slice(br#"{"index":7,"sum":12,"resu"#);
+    std::fs::write(&grid, &bytes).expect("write torn checkpoint");
+
+    // Run 2: resume to completion.
+    let mut opts = opts_with_workers(1);
+    opts.checkpoint_dir = Some(dir.clone());
+    let coordinator = Coordinator::start(opts).expect("restart");
+    let env = coordinator.submit(None, &cfg).expect("resumed submit");
+    coordinator.shutdown();
+    assert_eq!(env.checkpoint_cells, 5);
+    assert_eq!(env.checkpoint_skipped, 1, "the fragment is skipped");
+    assert_eq!(env.document, chaos_reference());
+
+    // Run 3: every cell is on disk, the first post-crash record included.
+    let mut opts = opts_with_workers(1);
+    opts.checkpoint_dir = Some(dir.clone());
+    let coordinator = Coordinator::start(opts).expect("restart");
+    let env = coordinator.submit(None, &cfg).expect("restored submit");
+    coordinator.shutdown();
+    assert!(env.served_from_cache, "a fully stored job is a disk hit");
+    assert_eq!(env.executed_cells, 0, "no record was lost to the fragment");
+    assert_eq!(env.checkpoint_cells, total);
+    assert_eq!(env.checkpoint_skipped, 1, "only the fragment is skipped");
+    assert_eq!(env.document, chaos_reference());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Job-manager fault arm: `cancel-after-cells=N` cancels the owning job
 /// the moment its N-th cell merges. The worker abandons the rest of its
 /// lease mid-shard (no requeue), stays connected, and serves a resubmit of
@@ -348,8 +404,8 @@ fn cancel_mid_checkpoint_restore_leaves_no_restored_cell_leak() {
 
     // Run 2: a fresh coordinator restores those 5 cells at submit, then
     // the fault cancels the job the moment its 2nd *fresh* cell merges.
-    // The merge path checkpoints a cell before checking the fault, so
-    // exactly one new record lands on disk before the teardown.
+    // The merge path checks the fault before it checkpoints a cell, so
+    // the 1st fresh cell lands on disk and the 2nd does not.
     let mut opts = opts_with_workers(1);
     opts.checkpoint_dir = Some(dir.clone());
     opts.fault_plan = FaultPlan::parse("cancel-after-cells=2").expect("plan");
