@@ -41,6 +41,7 @@
 use crate::engine::RunResult;
 use crate::exec::{build_table_cache, cell_params, Worker};
 use crate::plan::{CellSpec, SweepPlan, BLAST_RADIUS};
+use crate::proto::jstr;
 use crate::sweep::SweepConfig;
 use rh_core::{DataPattern, Device, EagerDeviceState, Geometry, Kernel, KernelChoice};
 use rh_mitigations::{reference::build_reference, ActionBuf, Mitigation, MitigationAction};
@@ -442,25 +443,6 @@ pub(crate) fn fnum(x: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// Minimal JSON string escaping for metadata fields (the hand-rolled
-/// emitter elsewhere only handles known-clean names).
-pub(crate) fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Render the report as a JSON document (the `BENCH_6.json` artifact).

@@ -73,6 +73,12 @@ pub struct ResultCache {
     evictions: u64,
 }
 
+impl Default for ResultCache {
+    fn default() -> Self {
+        Self::new(DEFAULT_CAPACITY)
+    }
+}
+
 impl ResultCache {
     pub fn new(capacity: usize) -> Self {
         Self {

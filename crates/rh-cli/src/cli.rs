@@ -1,8 +1,16 @@
-//! Command-line parsing for the sweep driver.
+//! Command-line parsing for every `rh-cli` subcommand.
 //!
 //! Lives in the library (rather than `main.rs`) so every parse and rejection
-//! path is unit-testable. Parsing is purely syntactic; semantic validation
-//! is shared with programmatic callers via [`SweepConfig::validate`].
+//! path is unit-testable. Each `parse_*_args` function returns one
+//! [`Parsed<T>`] — `Help` or `Run(options)` — and reads its flags through
+//! one private cursor. The cursor owns the flag currently being read and
+//! has a typed reader per value shape (raw string, `FromStr`, at least 1,
+//! positive finite rate, milliseconds, comma list), each naming the flag in
+//! its rejection message, so a parser spends one line per flag. `-h`/
+//! `--help` stops the walk wherever it appears; flags before it are read
+//! (and rejected) in order. Parsing is purely syntactic; semantic
+//! validation is shared with programmatic callers via
+//! [`SweepConfig::validate`] and [`crate::configure::run_configure`].
 
 use crate::bench::{AnalysisOptions, BenchOptions, SaturationOptions};
 use crate::configure::ConfigureOptions;
@@ -10,7 +18,9 @@ use crate::faults::FaultPlan;
 use crate::serve::{CancelOptions, ServeOptions, SubmitOptions};
 use crate::sweep::SweepConfig;
 use crate::worker::WorkerOptions;
-use rh_core::{DataPattern, KernelChoice};
+use rh_core::KernelChoice;
+use std::str::FromStr;
+use std::time::Duration;
 
 pub const USAGE: &str = "\
 rh-cli — RowHammer mitigation sweep (Kim et al., ISCA 2020 reproduction)
@@ -231,6 +241,25 @@ waiting submit fails with the cancellation message. Exits nonzero when the
 job is unknown or already finished.
 ";
 
+/// Outcome of parsing one subcommand's arguments.
+#[derive(Debug, Clone)]
+pub enum Parsed<T> {
+    /// `-h`/`--help` appeared; print usage and exit successfully.
+    Help,
+    /// Run the subcommand with these options.
+    Run(T),
+}
+
+impl Parsed<()> {
+    /// Build the options after a walk that did not stop at `--help`.
+    fn then<T>(self, run: impl FnOnce() -> Result<T, String>) -> Result<Parsed<T>, String> {
+        match self {
+            Parsed::Help => Ok(Parsed::Help),
+            Parsed::Run(()) => run().map(Parsed::Run),
+        }
+    }
+}
+
 /// Fully parsed invocation: the sweep config plus execution options that
 /// must not influence results (and are therefore kept out of the config).
 #[derive(Debug, Clone)]
@@ -242,18 +271,10 @@ pub struct CliArgs {
     pub kernel: KernelChoice,
 }
 
-/// Outcome of parsing the arguments after `sweep`.
+/// The three `bench` modes.
 #[derive(Debug, Clone)]
-pub enum Invocation {
-    /// `-h`/`--help` appeared; print usage and exit successfully.
-    Help,
-    Sweep(CliArgs),
-}
-
-/// Outcome of parsing the arguments after `bench`.
-#[derive(Debug, Clone)]
-pub enum BenchInvocation {
-    Help,
+pub enum BenchMode {
+    /// `bench`: the reference sweep, optimized path against legacy path.
     Bench(BenchOptions),
     /// `bench --saturation`: the distributed service throughput bench.
     Saturation(SaturationOptions),
@@ -261,187 +282,207 @@ pub enum BenchInvocation {
     Analysis(AnalysisOptions),
 }
 
-/// The value following the flag at `args[*i]`, advancing `i` onto it.
-fn flag_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
-    *i += 1;
-    args.get(*i)
-        .cloned()
-        .ok_or_else(|| format!("{flag} requires a value"))
+/// Cursor over one subcommand's argv: `flag` is the flag being read, and
+/// each reader consumes the value after it.
+struct Flags<'a> {
+    rest: std::slice::Iter<'a, String>,
+    flag: &'a str,
+}
+
+impl Flags<'_> {
+    /// The raw value.
+    fn value(&mut self) -> Result<String, String> {
+        let flag = self.flag;
+        self.rest
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("{flag} requires a value"))
+    }
+
+    /// The value read by `read`, rejected as `invalid {flag} '{v}'`.
+    fn parse_with<T>(&mut self, read: impl FnOnce(&str) -> Option<T>) -> Result<T, String> {
+        let v = self.value()?;
+        read(&v).ok_or_else(|| format!("invalid {} '{v}'", self.flag))
+    }
+
+    /// The value parsed as `T`.
+    fn parse<T: FromStr>(&mut self) -> Result<T, String> {
+        self.parse_with(|v| v.parse().ok())
+    }
+
+    /// The value passed to `read`, whose errors stand as they are.
+    fn with<T>(&mut self, read: impl FnOnce(&str) -> Result<T, String>) -> Result<T, String> {
+        read(&self.value()?)
+    }
+
+    /// A number that must not be zero; `why` is the rejection.
+    fn nonzero<T: FromStr + Default + PartialEq>(&mut self, why: &str) -> Result<T, String> {
+        let n = self.parse()?;
+        if n == T::default() {
+            return Err(why.to_string());
+        }
+        Ok(n)
+    }
+
+    /// A count of at least 1.
+    fn at_least_1<T: FromStr + Default + PartialEq>(&mut self) -> Result<T, String> {
+        let why = format!("{} must be at least 1", self.flag);
+        self.nonzero(&why)
+    }
+
+    /// A positive, finite rate (the `--min-*` floors).
+    fn rate(&mut self) -> Result<f64, String> {
+        let v = self.value()?;
+        match v.parse::<f64>() {
+            Ok(rate) if rate.is_finite() && rate > 0.0 => Ok(rate),
+            Ok(_) => Err(format!("{} must be positive, got '{v}'", self.flag)),
+            Err(_) => Err(format!("invalid {} '{v}'", self.flag)),
+        }
+    }
+
+    /// Milliseconds as a duration.
+    fn millis(&mut self) -> Result<Duration, String> {
+        self.parse().map(Duration::from_millis)
+    }
+
+    /// A comma-separated list of `T`; see [`Flags::items`].
+    fn list<T: FromStr>(&mut self) -> Result<Vec<T>, String> {
+        let flag = self.flag;
+        self.items(|x| {
+            x.parse()
+                .map_err(|_| format!("invalid value '{x}' for {flag}"))
+        })
+    }
+
+    /// A comma-separated list read item by item, skipping empty items (so
+    /// trailing commas are tolerated); an *effectively empty* list is
+    /// rejected because no flag taking a list accepts zero values.
+    fn items<T>(&mut self, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+        let values = self
+            .value()?
+            .split(',')
+            .map(str::trim)
+            .filter(|x| !x.is_empty())
+            .map(item)
+            .collect::<Result<Vec<T>, String>>()?;
+        if values.is_empty() {
+            return Err(format!("{} requires at least one value", self.flag));
+        }
+        Ok(values)
+    }
+}
+
+/// Hand every flag in `args` to `each`, which reads the flag's value
+/// through the cursor and returns false for a flag it does not know (then
+/// rejected as `unknown {scope} '{flag}'`). `-h`/`--help` stops the walk.
+fn walk(
+    args: &[String],
+    scope: &str,
+    mut each: impl FnMut(&mut Flags) -> Result<bool, String>,
+) -> Result<Parsed<()>, String> {
+    let mut cursor = Flags {
+        rest: args.iter(),
+        flag: "",
+    };
+    while let Some(flag) = cursor.rest.next() {
+        cursor.flag = flag;
+        if flag == "-h" || flag == "--help" {
+            return Ok(Parsed::Help);
+        }
+        if !each(&mut cursor)? {
+            return Err(format!("unknown {scope} '{flag}'"));
+        }
+    }
+    Ok(Parsed::Run(()))
+}
+
+/// `--timeout <SECS>` on submit and cancel.
+fn timeout(f: &mut Flags) -> Result<Option<Duration>, String> {
+    let secs = f.nonzero("--timeout must be at least 1 second")?;
+    Ok(Some(Duration::from_secs(secs)))
 }
 
 /// Parse the arguments following the `bench` subcommand. `--saturation` or
 /// `--analysis` anywhere switches to that mode's flag set (the modes share
 /// `--quick`/`--out` but disagree about everything else).
-pub fn parse_bench_args(args: &[String]) -> Result<BenchInvocation, String> {
+pub fn parse_bench_args(args: &[String]) -> Result<Parsed<BenchMode>, String> {
     if args.iter().any(|a| a == "--saturation") {
-        return parse_saturation_args(args);
+        let mut o = SaturationOptions::default();
+        return walk(args, "bench --saturation option", |f| {
+            match f.flag {
+                "--saturation" => {}
+                "--quick" => o.quick = true,
+                "--out" => o.out_path = f.value()?,
+                "--workers" => {
+                    o.worker_counts = f.list()?;
+                    if o.worker_counts.contains(&0) {
+                        return Err("--workers pool sizes must be at least 1".to_string());
+                    }
+                }
+                "--kernel" => o.kernel = f.with(str::parse)?,
+                "--min-cells-per-sec" => o.min_cells_per_sec = Some(f.rate()?),
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?
+        .then(|| Ok(BenchMode::Saturation(o)));
     }
     if args.iter().any(|a| a == "--analysis") {
-        return parse_analysis_args(args);
+        let mut o = AnalysisOptions::default();
+        return walk(args, "bench --analysis option", |f| {
+            match f.flag {
+                "--analysis" => {}
+                "--quick" => o.quick = true,
+                "--out" => o.out_path = f.value()?,
+                "--repeat" => o.repeat = f.at_least_1()?,
+                "--min-evals-per-sec" => o.min_evals_per_sec = Some(f.rate()?),
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?
+        .then(|| Ok(BenchMode::Analysis(o)));
     }
-    let mut opts = BenchOptions::default();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => opts.quick = true,
-            "--out" => opts.out_path = value(&mut i, "--out")?,
-            "--repeat" => {
-                let v = value(&mut i, "--repeat")?;
-                opts.repeat = v.parse().map_err(|_| format!("invalid --repeat '{v}'"))?;
-                if opts.repeat == 0 {
-                    return Err("--repeat must be at least 1".to_string());
-                }
-            }
-            "--filter" => opts.filter = Some(value(&mut i, "--filter")?),
-            "--kernel" => {
-                let v = value(&mut i, "--kernel")?;
-                opts.kernel = v.parse()?;
-            }
-            "--min-acts-per-sec" => {
-                let v = value(&mut i, "--min-acts-per-sec")?;
-                let rate: f64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --min-acts-per-sec '{v}'"))?;
-                if !rate.is_finite() || rate <= 0.0 {
-                    return Err(format!("--min-acts-per-sec must be positive, got '{v}'"));
-                }
-                opts.min_acts_per_sec = Some(rate);
-            }
-            "-h" | "--help" => return Ok(BenchInvocation::Help),
-            other => return Err(format!("unknown bench option '{other}'")),
+    let mut o = BenchOptions::default();
+    walk(args, "bench option", |f| {
+        match f.flag {
+            "--quick" => o.quick = true,
+            "--out" => o.out_path = f.value()?,
+            "--repeat" => o.repeat = f.at_least_1()?,
+            "--filter" => o.filter = Some(f.value()?),
+            "--kernel" => o.kernel = f.with(str::parse)?,
+            "--min-acts-per-sec" => o.min_acts_per_sec = Some(f.rate()?),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    Ok(BenchInvocation::Bench(opts))
-}
-
-/// Parse `bench --saturation` flags.
-fn parse_saturation_args(args: &[String]) -> Result<BenchInvocation, String> {
-    let mut opts = SaturationOptions::default();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
-    while i < args.len() {
-        match args[i].as_str() {
-            "--saturation" => {}
-            "--quick" => opts.quick = true,
-            "--out" => opts.out_path = value(&mut i, "--out")?,
-            "--workers" => {
-                opts.worker_counts = parse_list(&value(&mut i, "--workers")?, "--workers")?;
-                if opts.worker_counts.contains(&0) {
-                    return Err("--workers pool sizes must be at least 1".to_string());
-                }
-            }
-            "--kernel" => {
-                let v = value(&mut i, "--kernel")?;
-                opts.kernel = v.parse()?;
-            }
-            "--min-cells-per-sec" => {
-                let v = value(&mut i, "--min-cells-per-sec")?;
-                let rate: f64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --min-cells-per-sec '{v}'"))?;
-                if !rate.is_finite() || rate <= 0.0 {
-                    return Err(format!("--min-cells-per-sec must be positive, got '{v}'"));
-                }
-                opts.min_cells_per_sec = Some(rate);
-            }
-            "-h" | "--help" => return Ok(BenchInvocation::Help),
-            other => return Err(format!("unknown bench --saturation option '{other}'")),
-        }
-        i += 1;
-    }
-    Ok(BenchInvocation::Saturation(opts))
-}
-
-/// Parse `bench --analysis` flags.
-fn parse_analysis_args(args: &[String]) -> Result<BenchInvocation, String> {
-    let mut opts = AnalysisOptions::default();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
-    while i < args.len() {
-        match args[i].as_str() {
-            "--analysis" => {}
-            "--quick" => opts.quick = true,
-            "--out" => opts.out_path = value(&mut i, "--out")?,
-            "--repeat" => {
-                let v = value(&mut i, "--repeat")?;
-                opts.repeat = v.parse().map_err(|_| format!("invalid --repeat '{v}'"))?;
-                if opts.repeat == 0 {
-                    return Err("--repeat must be at least 1".to_string());
-                }
-            }
-            "--min-evals-per-sec" => {
-                let v = value(&mut i, "--min-evals-per-sec")?;
-                let rate: f64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --min-evals-per-sec '{v}'"))?;
-                if !rate.is_finite() || rate <= 0.0 {
-                    return Err(format!("--min-evals-per-sec must be positive, got '{v}'"));
-                }
-                opts.min_evals_per_sec = Some(rate);
-            }
-            "-h" | "--help" => return Ok(BenchInvocation::Help),
-            other => return Err(format!("unknown bench --analysis option '{other}'")),
-        }
-        i += 1;
-    }
-    Ok(BenchInvocation::Analysis(opts))
-}
-
-/// Outcome of parsing the arguments after `configure`.
-#[derive(Debug, Clone)]
-pub enum ConfigureInvocation {
-    Help,
-    Configure(ConfigureOptions),
+        Ok(true)
+    })?
+    .then(|| Ok(BenchMode::Bench(o)))
 }
 
 /// Parse the arguments following the `configure` subcommand. Syntactic
 /// errors are caught per flag; range checks that also guard programmatic
 /// callers (hc >= 2, target in (0, 1]) live in
 /// [`crate::configure::run_configure`].
-pub fn parse_configure_args(args: &[String]) -> Result<ConfigureInvocation, String> {
-    let mut hc_first = None;
-    let mut window = None;
-    let mut target_pfail = None;
-    let mut opts = ConfigureOptions::default();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
-    while i < args.len() {
-        match args[i].as_str() {
-            "--hc" => {
-                let v = value(&mut i, "--hc")?;
-                hc_first = Some(v.parse().map_err(|_| format!("invalid --hc '{v}'"))?);
-            }
-            "--window" => {
-                let v = value(&mut i, "--window")?;
-                window = Some(v.parse().map_err(|_| format!("invalid --window '{v}'"))?);
-            }
-            "--target-pfail" => {
-                let v = value(&mut i, "--target-pfail")?;
-                target_pfail = Some(
-                    v.parse()
-                        .map_err(|_| format!("invalid --target-pfail '{v}'"))?,
-                );
-            }
-            "--validate" => opts.validate = true,
-            "--trials" => {
-                let v = value(&mut i, "--trials")?;
-                opts.trials = v.parse().map_err(|_| format!("invalid --trials '{v}'"))?;
-            }
-            "--seed" => {
-                let v = value(&mut i, "--seed")?;
-                opts.seed = parse_u64_maybe_hex(&v).ok_or(format!("invalid --seed '{v}'"))?;
-            }
-            "-h" | "--help" => return Ok(ConfigureInvocation::Help),
-            other => return Err(format!("unknown configure option '{other}'")),
+pub fn parse_configure_args(args: &[String]) -> Result<Parsed<ConfigureOptions>, String> {
+    let (mut hc_first, mut window, mut target_pfail) = (None, None, None);
+    let mut o = ConfigureOptions::default();
+    walk(args, "configure option", |f| {
+        match f.flag {
+            "--hc" => hc_first = Some(f.parse()?),
+            "--window" => window = Some(f.parse()?),
+            "--target-pfail" => target_pfail = Some(f.parse()?),
+            "--validate" => o.validate = true,
+            "--trials" => o.trials = f.parse()?,
+            "--seed" => o.seed = f.parse_with(parse_u64_maybe_hex)?,
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    opts.hc_first = hc_first.ok_or("configure requires --hc <N>")?;
-    opts.window = window.ok_or("configure requires --window <N>")?;
-    opts.target_pfail = target_pfail.ok_or("configure requires --target-pfail <P>")?;
-    Ok(ConfigureInvocation::Configure(opts))
+        Ok(true)
+    })?
+    .then(|| {
+        o.hc_first = hc_first.ok_or("configure requires --hc <N>")?;
+        o.window = window.ok_or("configure requires --window <N>")?;
+        o.target_pfail = target_pfail.ok_or("configure requires --target-pfail <P>")?;
+        Ok(o)
+    })
 }
 
 /// Read a shared-secret token file for `--auth-token-file`: the secret is
@@ -458,319 +499,125 @@ fn read_token_file(path: &str) -> Result<String, String> {
     Ok(token.to_string())
 }
 
-/// Outcome of parsing the arguments after `serve`.
-#[derive(Debug, Clone)]
-pub enum ServeInvocation {
-    Help,
-    Serve(Box<ServeOptions>),
-}
-
 /// Parse the arguments following the `serve` subcommand.
-pub fn parse_serve_args(args: &[String]) -> Result<ServeInvocation, String> {
-    let mut opts = ServeOptions::default();
+pub fn parse_serve_args(args: &[String]) -> Result<Parsed<Box<ServeOptions>>, String> {
+    let mut o = ServeOptions::default();
     // `--cache-dir` is a second spelling of `--checkpoint-dir`.
     let mut cache_dir = None;
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                let v = value(&mut i, "--workers")?;
-                opts.workers = v.parse().map_err(|_| format!("invalid --workers '{v}'"))?;
-            }
-            "--listen" => opts.listen = Some(value(&mut i, "--listen")?),
-            "--kernel" => {
-                let v = value(&mut i, "--kernel")?;
-                opts.kernel = v.parse()?;
-            }
-            "--cache-capacity" => {
-                let v = value(&mut i, "--cache-capacity")?;
-                opts.cache_capacity = v
-                    .parse()
-                    .map_err(|_| format!("invalid --cache-capacity '{v}'"))?;
-                if opts.cache_capacity == 0 {
-                    return Err("--cache-capacity must be at least 1".to_string());
-                }
-            }
-            "--checkpoint-dir" => {
-                opts.checkpoint_dir = Some(value(&mut i, "--checkpoint-dir")?.into());
-            }
-            "--shard-cells" => {
-                let v = value(&mut i, "--shard-cells")?;
-                opts.shard_cells = v
-                    .parse()
-                    .map_err(|_| format!("invalid --shard-cells '{v}'"))?;
-                if opts.shard_cells == 0 {
-                    return Err("--shard-cells must be at least 1".to_string());
-                }
-            }
-            "--cache-dir" => cache_dir = Some(value(&mut i, "--cache-dir")?.into()),
-            "--config-epoch" => {
-                let v = value(&mut i, "--config-epoch")?;
-                opts.config_epoch = v
-                    .parse()
-                    .map_err(|_| format!("invalid --config-epoch '{v}'"))?;
-            }
-            "--fallback-after-ms" => {
-                let v = value(&mut i, "--fallback-after-ms")?;
-                let ms: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --fallback-after-ms '{v}'"))?;
-                opts.fallback_after = Some(std::time::Duration::from_millis(ms));
-            }
+    walk(args, "serve option", |f| {
+        match f.flag {
+            "--workers" => o.workers = f.parse()?,
+            "--listen" => o.listen = Some(f.value()?),
+            "--kernel" => o.kernel = f.with(str::parse)?,
+            "--cache-capacity" => o.cache_capacity = f.at_least_1()?,
+            "--checkpoint-dir" => o.checkpoint_dir = Some(f.value()?.into()),
+            "--shard-cells" => o.shard_cells = f.at_least_1()?,
+            "--cache-dir" => cache_dir = Some(f.value()?.into()),
+            "--config-epoch" => o.config_epoch = f.parse()?,
+            "--fallback-after-ms" => o.fallback_after = Some(f.millis()?),
+            // 0 disables speculation outright rather than meaning
+            // "speculate instantly" — an instant deadline would duplicate
+            // every lease.
             "--speculate-after-ms" => {
-                let v = value(&mut i, "--speculate-after-ms")?;
-                let ms: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --speculate-after-ms '{v}'"))?;
-                // 0 disables speculation outright rather than meaning
-                // "speculate instantly" — an instant deadline would
-                // duplicate every lease.
-                opts.speculate_after = (ms > 0).then(|| std::time::Duration::from_millis(ms));
+                o.speculate_after = Some(f.millis()?).filter(|d| !d.is_zero())
             }
-            "--fault-plan" => {
-                opts.fault_plan = FaultPlan::parse(&value(&mut i, "--fault-plan")?)?;
-            }
-            "--max-pending-jobs" => {
-                let v = value(&mut i, "--max-pending-jobs")?;
-                opts.max_pending_jobs = v
-                    .parse()
-                    .map_err(|_| format!("invalid --max-pending-jobs '{v}'"))?;
-                if opts.max_pending_jobs == 0 {
-                    return Err("--max-pending-jobs must be at least 1".to_string());
-                }
-            }
-            "--max-jobs-per-client" => {
-                let v = value(&mut i, "--max-jobs-per-client")?;
-                opts.max_jobs_per_client = v
-                    .parse()
-                    .map_err(|_| format!("invalid --max-jobs-per-client '{v}'"))?;
-                if opts.max_jobs_per_client == 0 {
-                    return Err("--max-jobs-per-client must be at least 1".to_string());
-                }
-            }
-            "--max-cells-per-client" => {
-                let v = value(&mut i, "--max-cells-per-client")?;
-                opts.max_cells_per_client = v
-                    .parse()
-                    .map_err(|_| format!("invalid --max-cells-per-client '{v}'"))?;
-                if opts.max_cells_per_client == 0 {
-                    return Err("--max-cells-per-client must be at least 1".to_string());
-                }
-            }
-            "--target-lease-ms" => {
-                // 0 is meaningful here: it turns the adaptive sizer off and
-                // restores the fixed --shard-cells width.
-                let v = value(&mut i, "--target-lease-ms")?;
-                opts.target_lease_ms = v
-                    .parse()
-                    .map_err(|_| format!("invalid --target-lease-ms '{v}'"))?;
-            }
+            "--fault-plan" => o.fault_plan = f.with(FaultPlan::parse)?,
+            "--max-pending-jobs" => o.max_pending_jobs = f.at_least_1()?,
+            "--max-jobs-per-client" => o.max_jobs_per_client = f.at_least_1()?,
+            "--max-cells-per-client" => o.max_cells_per_client = f.at_least_1()?,
+            // 0 is meaningful here: it turns the adaptive sizer off and
+            // restores the fixed --shard-cells width.
+            "--target-lease-ms" => o.target_lease_ms = f.parse()?,
             "--handshake-timeout-ms" => {
-                let v = value(&mut i, "--handshake-timeout-ms")?;
-                let ms: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --handshake-timeout-ms '{v}'"))?;
-                if ms == 0 {
-                    return Err(
-                        "--handshake-timeout-ms must be at least 1 (a zero deadline \
-                         would reject every connection before its first line)"
-                            .to_string(),
-                    );
-                }
-                opts.handshake_timeout = std::time::Duration::from_millis(ms);
+                o.handshake_timeout = Duration::from_millis(f.nonzero(
+                    "--handshake-timeout-ms must be at least 1 (a zero deadline \
+                     would reject every connection before its first line)",
+                )?);
             }
-            "--auth-token-file" => {
-                opts.auth_token = Some(read_token_file(&value(&mut i, "--auth-token-file")?)?);
-            }
-            "-h" | "--help" => return Ok(ServeInvocation::Help),
-            other => return Err(format!("unknown serve option '{other}'")),
+            "--auth-token-file" => o.auth_token = Some(f.with(read_token_file)?),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    if opts.checkpoint_dir.is_none() {
-        opts.checkpoint_dir = cache_dir;
-    } else if cache_dir.is_some() {
-        eprintln!("rh-serve: --cache-dir ignored: --checkpoint-dir names the cell store");
-    }
-    if opts.workers == 0 && opts.listen.is_none() && opts.fallback_after.is_none() {
-        return Err(
-            "a coordinator with --workers 0 and no --listen could never execute anything \
-             (give it local workers, a listener for TCP workers to attach to, or \
-             --fallback-after-ms for in-process execution)"
-                .to_string(),
-        );
-    }
-    Ok(ServeInvocation::Serve(Box::new(opts)))
-}
-
-/// Outcome of parsing the arguments after `worker`.
-#[derive(Debug, Clone)]
-pub enum WorkerInvocation {
-    Help,
-    Worker(Box<WorkerOptions>),
+        Ok(true)
+    })?
+    .then(|| {
+        if o.checkpoint_dir.is_none() {
+            o.checkpoint_dir = cache_dir;
+        } else if cache_dir.is_some() {
+            eprintln!("rh-serve: --cache-dir ignored: --checkpoint-dir names the cell store");
+        }
+        if o.workers == 0 && o.listen.is_none() && o.fallback_after.is_none() {
+            return Err(
+                "a coordinator with --workers 0 and no --listen could never execute anything \
+                 (give it local workers, a listener for TCP workers to attach to, or \
+                 --fallback-after-ms for in-process execution)"
+                    .to_string(),
+            );
+        }
+        Ok(Box::new(o))
+    })
 }
 
 /// Parse the arguments following the `worker` subcommand.
-pub fn parse_worker_args(args: &[String]) -> Result<WorkerInvocation, String> {
-    let mut opts = WorkerOptions::default();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
-    while i < args.len() {
-        match args[i].as_str() {
-            "--connect" => opts.connect = Some(value(&mut i, "--connect")?),
-            "--fault-plan" => {
-                opts.fault_plan = FaultPlan::parse(&value(&mut i, "--fault-plan")?)?;
-            }
-            "--config-epoch" => {
-                let v = value(&mut i, "--config-epoch")?;
-                opts.config_epoch = v
-                    .parse()
-                    .map_err(|_| format!("invalid --config-epoch '{v}'"))?;
-            }
-            "--retry" => {
-                let v = value(&mut i, "--retry")?;
-                opts.retries = v.parse().map_err(|_| format!("invalid --retry '{v}'"))?;
-            }
-            "--backoff-ms" => {
-                let v = value(&mut i, "--backoff-ms")?;
-                opts.backoff_base_ms = v
-                    .parse()
-                    .map_err(|_| format!("invalid --backoff-ms '{v}'"))?;
-                if opts.backoff_base_ms == 0 {
-                    return Err("--backoff-ms must be at least 1".to_string());
-                }
-            }
-            "--auth-token-file" => {
-                opts.auth_token = Some(read_token_file(&value(&mut i, "--auth-token-file")?)?);
-            }
-            "-h" | "--help" => return Ok(WorkerInvocation::Help),
-            other => return Err(format!("unknown worker option '{other}'")),
+pub fn parse_worker_args(args: &[String]) -> Result<Parsed<Box<WorkerOptions>>, String> {
+    let mut o = WorkerOptions::default();
+    walk(args, "worker option", |f| {
+        match f.flag {
+            "--connect" => o.connect = Some(f.value()?),
+            "--fault-plan" => o.fault_plan = f.with(FaultPlan::parse)?,
+            "--config-epoch" => o.config_epoch = f.parse()?,
+            "--retry" => o.retries = f.parse()?,
+            "--backoff-ms" => o.backoff_base_ms = f.at_least_1()?,
+            "--auth-token-file" => o.auth_token = Some(f.with(read_token_file)?),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    Ok(WorkerInvocation::Worker(Box::new(opts)))
-}
-
-/// Outcome of parsing the arguments after `submit`.
-#[derive(Debug, Clone)]
-pub enum SubmitInvocation {
-    Help,
-    Submit(SubmitOptions),
+        Ok(true)
+    })?
+    .then(|| Ok(Box::new(o)))
 }
 
 /// Parse the arguments following the `submit` subcommand.
-pub fn parse_submit_args(args: &[String]) -> Result<SubmitInvocation, String> {
+pub fn parse_submit_args(args: &[String]) -> Result<Parsed<SubmitOptions>, String> {
     let mut connect = None;
-    let mut timeout = None;
-    let mut deadline_ms = None;
-    let mut auth_token = None;
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
-    while i < args.len() {
-        match args[i].as_str() {
-            "--connect" => connect = Some(value(&mut i, "--connect")?),
-            "--timeout" => {
-                let v = value(&mut i, "--timeout")?;
-                let secs: u64 = v.parse().map_err(|_| format!("invalid --timeout '{v}'"))?;
-                if secs == 0 {
-                    return Err("--timeout must be at least 1 second".to_string());
-                }
-                timeout = Some(std::time::Duration::from_secs(secs));
-            }
+    let mut o = SubmitOptions::default();
+    walk(args, "submit option", |f| {
+        match f.flag {
+            "--connect" => connect = Some(f.value()?),
+            "--timeout" => o.timeout = timeout(f)?,
             "--job-deadline-ms" => {
-                let v = value(&mut i, "--job-deadline-ms")?;
-                let ms: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --job-deadline-ms '{v}'"))?;
-                if ms == 0 {
-                    return Err(
-                        "--job-deadline-ms must be at least 1 (omit the flag for no deadline)"
-                            .to_string(),
-                    );
-                }
-                deadline_ms = Some(ms);
+                o.deadline_ms = Some(f.nonzero(
+                    "--job-deadline-ms must be at least 1 (omit the flag for no deadline)",
+                )?);
             }
-            "--auth-token-file" => {
-                auth_token = Some(read_token_file(&value(&mut i, "--auth-token-file")?)?);
-            }
-            "-h" | "--help" => return Ok(SubmitInvocation::Help),
-            other => return Err(format!("unknown submit option '{other}'")),
+            "--auth-token-file" => o.auth_token = Some(f.with(read_token_file)?),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    let connect = connect.ok_or("submit requires --connect <ADDR>")?;
-    Ok(SubmitInvocation::Submit(SubmitOptions {
-        connect,
-        timeout,
-        deadline_ms,
-        auth_token,
-    }))
-}
-
-/// Outcome of parsing the arguments after `cancel`.
-#[derive(Debug, Clone)]
-pub enum CancelInvocation {
-    Help,
-    Cancel(CancelOptions),
+        Ok(true)
+    })?
+    .then(|| {
+        o.connect = connect.ok_or("submit requires --connect <ADDR>")?;
+        Ok(o)
+    })
 }
 
 /// Parse the arguments following the `cancel` subcommand.
-pub fn parse_cancel_args(args: &[String]) -> Result<CancelInvocation, String> {
-    let mut connect = None;
-    let mut id = None;
-    let mut timeout = None;
-    let mut auth_token = None;
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
-    while i < args.len() {
-        match args[i].as_str() {
-            "--connect" => connect = Some(value(&mut i, "--connect")?),
-            "--id" => id = Some(value(&mut i, "--id")?),
-            "--timeout" => {
-                let v = value(&mut i, "--timeout")?;
-                let secs: u64 = v.parse().map_err(|_| format!("invalid --timeout '{v}'"))?;
-                if secs == 0 {
-                    return Err("--timeout must be at least 1 second".to_string());
-                }
-                timeout = Some(std::time::Duration::from_secs(secs));
-            }
-            "--auth-token-file" => {
-                auth_token = Some(read_token_file(&value(&mut i, "--auth-token-file")?)?);
-            }
-            "-h" | "--help" => return Ok(CancelInvocation::Help),
-            other => return Err(format!("unknown cancel option '{other}'")),
+pub fn parse_cancel_args(args: &[String]) -> Result<Parsed<CancelOptions>, String> {
+    let (mut connect, mut id) = (None, None);
+    let mut o = CancelOptions::default();
+    walk(args, "cancel option", |f| {
+        match f.flag {
+            "--connect" => connect = Some(f.value()?),
+            "--id" => id = Some(f.value()?),
+            "--timeout" => o.timeout = timeout(f)?,
+            "--auth-token-file" => o.auth_token = Some(f.with(read_token_file)?),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    let connect = connect.ok_or("cancel requires --connect <ADDR>")?;
-    let id = id.ok_or("cancel requires --id <JOB>")?;
-    Ok(CancelInvocation::Cancel(CancelOptions {
-        connect,
-        id,
-        timeout,
-        auth_token,
-    }))
-}
-
-/// Parse a comma-separated list, skipping empty items (so trailing commas
-/// are tolerated); an *effectively empty* list is rejected here because no
-/// flag taking a list accepts zero values.
-fn parse_list<T: std::str::FromStr>(s: &str, flag: &str) -> Result<Vec<T>, String> {
-    let values: Result<Vec<T>, String> = s
-        .split(',')
-        .map(str::trim)
-        .filter(|x| !x.is_empty())
-        .map(|x| {
-            x.parse::<T>()
-                .map_err(|_| format!("invalid value '{x}' for {flag}"))
-        })
-        .collect();
-    let values = values?;
-    if values.is_empty() {
-        return Err(format!("{flag} requires at least one value"));
-    }
-    Ok(values)
+        Ok(true)
+    })?
+    .then(|| {
+        o.connect = connect.ok_or("cancel requires --connect <ADDR>")?;
+        o.id = id.ok_or("cancel requires --id <JOB>")?;
+        Ok(o)
+    })
 }
 
 /// Parse a u64 in decimal or `0x` hexadecimal.
@@ -786,90 +633,41 @@ pub fn parse_u64_maybe_hex(s: &str) -> Option<u64> {
 /// are caught per flag; semantic cross-field validation is delegated to
 /// [`SweepConfig::validate`] so the CLI and programmatic callers reject
 /// exactly the same configs with the same messages.
-pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
+pub fn parse_args(args: &[String]) -> Result<Parsed<CliArgs>, String> {
     let mut cfg = SweepConfig::default();
     let mut threads = default_threads();
     let mut kernel = KernelChoice::default();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| flag_value(args, i, flag);
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                let v = value(&mut i, "--seed")?;
-                cfg.seed = parse_u64_maybe_hex(&v).ok_or(format!("invalid --seed '{v}'"))?;
-            }
-            "--activations" => {
-                let v = value(&mut i, "--activations")?;
-                cfg.activations = v
-                    .parse()
-                    .map_err(|_| format!("invalid --activations '{v}'"))?;
-            }
-            "--hc" => cfg.hc_firsts = parse_list(&value(&mut i, "--hc")?, "--hc")?,
-            "--sides" => cfg.sides = parse_list(&value(&mut i, "--sides")?, "--sides")?,
-            "--para-p" => {
-                cfg.para_probabilities = parse_list(&value(&mut i, "--para-p")?, "--para-p")?;
-            }
-            "--data-pattern" => {
-                // Parsed by hand (not via parse_list) so the rejection
-                // message names the valid patterns, not just the bad token.
-                let v = value(&mut i, "--data-pattern")?;
-                let patterns: Result<Vec<DataPattern>, String> = v
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|x| !x.is_empty())
-                    .map(str::parse)
-                    .collect();
-                cfg.data_patterns = patterns?;
-                if cfg.data_patterns.is_empty() {
-                    return Err("--data-pattern requires at least one value".to_string());
-                }
-            }
+    walk(args, "option", |f| {
+        match f.flag {
+            "--seed" => cfg.seed = f.parse_with(parse_u64_maybe_hex)?,
+            "--activations" => cfg.activations = f.parse()?,
+            "--hc" => cfg.hc_firsts = f.list()?,
+            "--sides" => cfg.sides = f.list()?,
+            "--para-p" => cfg.para_probabilities = f.list()?,
+            // Item errors name the valid patterns, not just the bad token.
+            "--data-pattern" => cfg.data_patterns = f.items(str::parse)?,
             "--ecc" => {
-                let v = value(&mut i, "--ecc")?;
-                let bits: u32 = v.parse().map_err(|_| format!("invalid --ecc '{v}'"))?;
-                if bits == 0 {
-                    return Err(
-                        "--ecc codeword size must be at least 1 cell (omit the flag to \
-                         disable ECC)"
-                            .to_string(),
-                    );
-                }
-                cfg.ecc_codeword_bits = bits;
+                cfg.ecc_codeword_bits = f.nonzero(
+                    "--ecc codeword size must be at least 1 cell (omit the flag to \
+                     disable ECC)",
+                )?;
             }
-            "--benign-fraction" => {
-                let v = value(&mut i, "--benign-fraction")?;
-                cfg.benign_fraction = v
-                    .parse()
-                    .map_err(|_| format!("invalid --benign-fraction '{v}'"))?;
-            }
-            "--refresh-interval" => {
-                let v = value(&mut i, "--refresh-interval")?;
-                cfg.auto_refresh_interval = v
-                    .parse()
-                    .map_err(|_| format!("invalid --refresh-interval '{v}'"))?;
-            }
-            "--threads" => {
-                let v = value(&mut i, "--threads")?;
-                threads = v.parse().map_err(|_| format!("invalid --threads '{v}'"))?;
-                if threads == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-            }
-            "--kernel" => {
-                let v = value(&mut i, "--kernel")?;
-                kernel = v.parse()?;
-            }
-            "-h" | "--help" => return Ok(Invocation::Help),
-            other => return Err(format!("unknown option '{other}'")),
+            "--benign-fraction" => cfg.benign_fraction = f.parse()?,
+            "--refresh-interval" => cfg.auto_refresh_interval = f.parse()?,
+            "--threads" => threads = f.at_least_1()?,
+            "--kernel" => kernel = f.with(str::parse)?,
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    cfg.validate()?;
-    Ok(Invocation::Sweep(CliArgs {
-        config: cfg,
-        threads,
-        kernel,
-    }))
+        Ok(true)
+    })?
+    .then(|| {
+        cfg.validate()?;
+        Ok(CliArgs {
+            config: cfg,
+            threads,
+            kernel,
+        })
+    })
 }
 
 fn default_threads() -> usize {
@@ -881,12 +679,13 @@ fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rh_core::DataPattern;
 
     fn parse(args: &[&str]) -> Result<CliArgs, String> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         match parse_args(&owned)? {
-            Invocation::Sweep(a) => Ok(a),
-            Invocation::Help => panic!("unexpected help invocation for {args:?}"),
+            Parsed::Run(a) => Ok(a),
+            Parsed::Help => panic!("unexpected help invocation for {args:?}"),
         }
     }
 
@@ -1007,7 +806,7 @@ mod tests {
     fn help_flag_wins_over_other_arguments() {
         for args in [&["-h"][..], &["--help"], &["--hc", "100", "--help"]] {
             let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            assert!(matches!(parse_args(&owned), Ok(Invocation::Help)));
+            assert!(matches!(parse_args(&owned), Ok(Parsed::Help)));
         }
     }
 
@@ -1056,7 +855,7 @@ mod tests {
     #[test]
     fn bench_args_parse_and_reject() {
         match parse_bench_args(&[]).unwrap() {
-            BenchInvocation::Bench(o) => {
+            Parsed::Run(BenchMode::Bench(o)) => {
                 assert!(!o.quick);
                 assert_eq!(o.out_path, "BENCH_6.json");
                 assert_eq!(o.repeat, 3);
@@ -1083,7 +882,7 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         match parse_bench_args(&owned).unwrap() {
-            BenchInvocation::Bench(o) => {
+            Parsed::Run(BenchMode::Bench(o)) => {
                 assert!(o.quick);
                 assert_eq!(o.out_path, "x.json");
                 assert_eq!(o.repeat, 5);
@@ -1113,7 +912,7 @@ mod tests {
         }
         assert!(matches!(
             parse_bench_args(&["--help".to_string()]),
-            Ok(BenchInvocation::Help)
+            Ok(Parsed::Help)
         ));
     }
 
@@ -1135,7 +934,7 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         match parse_bench_args(&owned).unwrap() {
-            BenchInvocation::Saturation(o) => {
+            Parsed::Run(BenchMode::Saturation(o)) => {
                 assert!(o.quick);
                 assert_eq!(o.out_path, "sat.json");
                 assert_eq!(o.worker_counts, vec![1, 2, 4]);
@@ -1147,7 +946,7 @@ mod tests {
         // --saturation anywhere in the args switches flag sets, and the
         // defaults ask for the BENCH_7 shape.
         match parse_bench_args(&["--saturation".to_string()]).unwrap() {
-            BenchInvocation::Saturation(o) => {
+            Parsed::Run(BenchMode::Saturation(o)) => {
                 assert_eq!(o.out_path, "BENCH_7.json");
                 assert_eq!(o.worker_counts, vec![1, 2, 4, 8]);
             }
@@ -1171,13 +970,13 @@ mod tests {
     #[test]
     fn serve_args_parse_and_reject() {
         match parse_serve_args(&[]).unwrap() {
-            ServeInvocation::Serve(o) => {
+            Parsed::Run(o) => {
                 assert_eq!(o.workers, 2);
                 assert_eq!(o.listen, None);
                 assert_eq!(o.cache_capacity, crate::cache::DEFAULT_CAPACITY);
                 assert!(o.checkpoint_dir.is_none());
             }
-            ServeInvocation::Help => panic!("unexpected help"),
+            Parsed::Help => panic!("unexpected help"),
         }
         let owned: Vec<String> = [
             "--workers",
@@ -1197,7 +996,7 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         match parse_serve_args(&owned).unwrap() {
-            ServeInvocation::Serve(o) => {
+            Parsed::Run(o) => {
                 assert_eq!(o.workers, 0);
                 assert_eq!(o.listen.as_deref(), Some("127.0.0.1:0"));
                 assert_eq!(o.kernel, KernelChoice::Scalar);
@@ -1208,7 +1007,7 @@ mod tests {
                 );
                 assert_eq!(o.shard_cells, 4);
             }
-            ServeInvocation::Help => panic!("unexpected help"),
+            Parsed::Help => panic!("unexpected help"),
         }
         for bad in [
             // A pool of zero local workers with nowhere for TCP workers to
@@ -1230,16 +1029,16 @@ mod tests {
     #[test]
     fn worker_and_submit_args_parse_and_reject() {
         match parse_worker_args(&[]).unwrap() {
-            WorkerInvocation::Worker(o) => assert_eq!(o.connect, None),
-            WorkerInvocation::Help => panic!("unexpected help"),
+            Parsed::Run(o) => assert_eq!(o.connect, None),
+            Parsed::Help => panic!("unexpected help"),
         }
         let owned: Vec<String> = ["--connect", "127.0.0.1:9"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         match parse_worker_args(&owned).unwrap() {
-            WorkerInvocation::Worker(o) => assert_eq!(o.connect.as_deref(), Some("127.0.0.1:9")),
-            WorkerInvocation::Help => panic!("unexpected help"),
+            Parsed::Run(o) => assert_eq!(o.connect.as_deref(), Some("127.0.0.1:9")),
+            Parsed::Help => panic!("unexpected help"),
         }
         assert!(parse_worker_args(&["--bogus".to_string()]).is_err());
 
@@ -1248,15 +1047,15 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         match parse_submit_args(&owned).unwrap() {
-            SubmitInvocation::Submit(o) => assert_eq!(o.connect, "127.0.0.1:9"),
-            SubmitInvocation::Help => panic!("unexpected help"),
+            Parsed::Run(o) => assert_eq!(o.connect, "127.0.0.1:9"),
+            Parsed::Help => panic!("unexpected help"),
         }
         // submit without a coordinator address is meaningless.
         assert!(parse_submit_args(&[]).is_err());
         assert!(parse_submit_args(&["--bogus".to_string()]).is_err());
         assert!(matches!(
             parse_submit_args(&["--help".to_string()]),
-            Ok(SubmitInvocation::Help)
+            Ok(Parsed::Help)
         ));
     }
 
@@ -1278,7 +1077,7 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         match parse_serve_args(&owned).unwrap() {
-            ServeInvocation::Serve(o) => {
+            Parsed::Run(o) => {
                 assert_eq!(
                     o.checkpoint_dir.as_deref(),
                     Some(std::path::Path::new("/tmp/rhcache")),
@@ -1295,7 +1094,7 @@ mod tests {
                 );
                 assert_eq!(o.fault_plan.corrupt_cache_records(), &[2]);
             }
-            ServeInvocation::Help => panic!("unexpected help"),
+            Parsed::Help => panic!("unexpected help"),
         }
         // Given both spellings, --checkpoint-dir wins.
         let owned: Vec<String> = ["--cache-dir", "/tmp/a", "--checkpoint-dir", "/tmp/b"]
@@ -1303,11 +1102,11 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         match parse_serve_args(&owned).unwrap() {
-            ServeInvocation::Serve(o) => assert_eq!(
+            Parsed::Run(o) => assert_eq!(
                 o.checkpoint_dir.as_deref(),
                 Some(std::path::Path::new("/tmp/b"))
             ),
-            ServeInvocation::Help => panic!("unexpected help"),
+            Parsed::Help => panic!("unexpected help"),
         }
         // --speculate-after-ms 0 disables speculation entirely.
         let owned: Vec<String> = ["--speculate-after-ms", "0"]
@@ -1315,8 +1114,8 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         match parse_serve_args(&owned).unwrap() {
-            ServeInvocation::Serve(o) => assert_eq!(o.speculate_after, None),
-            ServeInvocation::Help => panic!("unexpected help"),
+            Parsed::Run(o) => assert_eq!(o.speculate_after, None),
+            Parsed::Help => panic!("unexpected help"),
         }
         // --fallback-after-ms makes a workerless, listenerless coordinator
         // viable (it degrades to in-process execution).
@@ -1350,13 +1149,13 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         match parse_worker_args(&owned).unwrap() {
-            WorkerInvocation::Worker(o) => {
+            Parsed::Run(o) => {
                 assert_eq!(o.fault_plan.crash_pending_at(), Some(3));
                 assert_eq!(o.config_epoch, 9);
                 assert_eq!(o.retries, 4);
                 assert_eq!(o.backoff_base_ms, 50);
             }
-            WorkerInvocation::Help => panic!("unexpected help"),
+            Parsed::Help => panic!("unexpected help"),
         }
         assert!(parse_worker_args(&["--backoff-ms".into(), "0".into()]).is_err());
         assert!(parse_worker_args(&["--fault-plan".into(), "drop-line=0".into()]).is_err());
@@ -1366,10 +1165,10 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         match parse_submit_args(&owned).unwrap() {
-            SubmitInvocation::Submit(o) => {
+            Parsed::Run(o) => {
                 assert_eq!(o.timeout, Some(std::time::Duration::from_secs(5)));
             }
-            SubmitInvocation::Help => panic!("unexpected help"),
+            Parsed::Help => panic!("unexpected help"),
         }
         assert!(parse_submit_args(&[
             "--connect".into(),
@@ -1410,7 +1209,7 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         match parse_serve_args(&owned).unwrap() {
-            ServeInvocation::Serve(o) => {
+            Parsed::Run(o) => {
                 assert_eq!(o.max_pending_jobs, 3);
                 assert_eq!(o.max_jobs_per_client, 2);
                 assert_eq!(o.max_cells_per_client, 500);
@@ -1418,19 +1217,19 @@ mod tests {
                 assert_eq!(o.handshake_timeout, std::time::Duration::from_millis(1500));
                 assert_eq!(o.auth_token.as_deref(), Some("sekrit"), "token is trimmed");
             }
-            ServeInvocation::Help => panic!("unexpected help"),
+            Parsed::Help => panic!("unexpected help"),
         }
         // Defaults: admission on with generous bounds, adaptive sizing on,
         // no auth.
         match parse_serve_args(&[]).unwrap() {
-            ServeInvocation::Serve(o) => {
+            Parsed::Run(o) => {
                 assert_eq!(o.max_pending_jobs, 64);
                 assert_eq!(o.max_jobs_per_client, 16);
                 assert_eq!(o.target_lease_ms, 1500);
                 assert_eq!(o.handshake_timeout, std::time::Duration::from_secs(10));
                 assert_eq!(o.auth_token, None);
             }
-            ServeInvocation::Help => panic!("unexpected help"),
+            Parsed::Help => panic!("unexpected help"),
         }
         for bad in [
             &["--max-pending-jobs", "0"][..],
@@ -1472,8 +1271,8 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         match parse_worker_args(&owned).unwrap() {
-            WorkerInvocation::Worker(o) => assert_eq!(o.auth_token.as_deref(), Some("hunter2")),
-            WorkerInvocation::Help => panic!("unexpected help"),
+            Parsed::Run(o) => assert_eq!(o.auth_token.as_deref(), Some("hunter2")),
+            Parsed::Help => panic!("unexpected help"),
         }
         // Submit side: deadline and token.
         let owned: Vec<String> = [
@@ -1488,11 +1287,11 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         match parse_submit_args(&owned).unwrap() {
-            SubmitInvocation::Submit(o) => {
+            Parsed::Run(o) => {
                 assert_eq!(o.deadline_ms, Some(2500));
                 assert_eq!(o.auth_token.as_deref(), Some("hunter2"));
             }
-            SubmitInvocation::Help => panic!("unexpected help"),
+            Parsed::Help => panic!("unexpected help"),
         }
         // Defaults stay off.
         let owned: Vec<String> = ["--connect", "127.0.0.1:9"]
@@ -1500,11 +1299,11 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         match parse_submit_args(&owned).unwrap() {
-            SubmitInvocation::Submit(o) => {
+            Parsed::Run(o) => {
                 assert_eq!(o.deadline_ms, None);
                 assert_eq!(o.auth_token, None);
             }
-            SubmitInvocation::Help => panic!("unexpected help"),
+            Parsed::Help => panic!("unexpected help"),
         }
         assert!(parse_submit_args(&[
             "--connect".into(),
@@ -1529,13 +1328,13 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         match parse_cancel_args(&owned).unwrap() {
-            CancelInvocation::Cancel(o) => {
+            Parsed::Run(o) => {
                 assert_eq!(o.connect, "127.0.0.1:9");
                 assert_eq!(o.id, "job-42");
                 assert_eq!(o.timeout, Some(std::time::Duration::from_secs(5)));
                 assert_eq!(o.auth_token.as_deref(), Some("hunter2"));
             }
-            CancelInvocation::Help => panic!("unexpected help"),
+            Parsed::Help => panic!("unexpected help"),
         }
         // Both --connect and --id are mandatory; bad flags are named.
         assert!(parse_cancel_args(&[]).is_err());
@@ -1544,7 +1343,7 @@ mod tests {
         assert!(parse_cancel_args(&["--bogus".into()]).is_err());
         assert!(matches!(
             parse_cancel_args(&["--help".to_string()]),
-            Ok(CancelInvocation::Help)
+            Ok(Parsed::Help)
         ));
     }
 

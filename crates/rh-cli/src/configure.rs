@@ -38,9 +38,10 @@
 //! exactly `hc_first`), a single-sided aggressor at distance-1 coupling 1.0,
 //! auto-refresh off, and PARA's one-RNG-draw-per-activation sampling.
 
-use crate::bench::{fnum, jstr};
+use crate::bench::fnum;
 use crate::engine::{run_experiment, EngineScratch};
 use crate::json::num;
+use crate::proto::jstr;
 use rh_analysis::{p_fail_direct, p_fail_dual, required_p, wilson_interval};
 use rh_core::{
     derive_seed, DeviceState, DeviceTables, Geometry, Kernel, RowAddr, VictimModelParams,

@@ -15,10 +15,11 @@
 //! spreads the expensive mitigation families evenly across threads.
 //!
 //! The same per-cell machinery (the crate-internal `Worker::run_cell` over
-//! a `build_table_cache` table set) is the execution core of the
-//! distributed service's worker process ([`crate::worker`]): a shard lease
-//! there is just this module's shard concept serialized across a process
-//! boundary.
+//! a `build_table_cache` table set), wrapped as a `LeaseRunner`, is the
+//! execution core of the distributed service's worker process
+//! ([`crate::worker`]) and of the coordinator's in-process fallback: a
+//! shard lease there is just this module's shard concept serialized across
+//! a process boundary.
 //!
 //! Hot-path amortization across cells:
 //!
@@ -35,7 +36,8 @@
 
 use crate::engine::{run_experiment, EngineScratch, RunResult};
 use crate::plan::{CellSpec, SweepPlan, BLAST_RADIUS};
-use rh_core::{DataPattern, DeviceState, DeviceTables, Kernel, VictimModelParams};
+use crate::proto::ShardList;
+use rh_core::{DataPattern, DeviceState, DeviceTables, Kernel, KernelChoice, VictimModelParams};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -146,6 +148,56 @@ impl Worker {
             cell.auto_refresh_interval,
             &mut self.scratch,
         )
+    }
+}
+
+/// One shard lease resolved against its job's plan: the leased cells'
+/// tables and one reusable worker. The distributed worker and the
+/// coordinator's in-process fallback both execute leases through it, one
+/// cell at a time, so each can act between cells.
+pub(crate) struct LeaseRunner {
+    plan: Arc<SweepPlan>,
+    tables: TableCache,
+    worker: Worker,
+    /// The settle kernel the lease's request resolved to.
+    pub(crate) kernel: Kernel,
+}
+
+impl LeaseRunner {
+    /// Resolve `kernel` and check `indices` against `list`. Returns the
+    /// runner and the leased cells in lease order.
+    pub(crate) fn new(
+        plan: Arc<SweepPlan>,
+        kernel: KernelChoice,
+        list: ShardList,
+        indices: &[usize],
+    ) -> Result<(Self, Vec<CellSpec>), String> {
+        let kernel = kernel.resolve()?;
+        let cells = match list {
+            ShardList::Grid => &plan.grid,
+            ShardList::Para => &plan.para_sweep,
+        };
+        if let Some(&bad) = indices.iter().find(|&&i| i >= cells.len()) {
+            return Err(format!(
+                "shard index {bad} out of bounds for {} list of {} cells",
+                list.name(),
+                cells.len()
+            ));
+        }
+        let leased: Vec<CellSpec> = indices.iter().map(|&i| cells[i].clone()).collect();
+        let tables = build_table_cache(&plan, &leased);
+        let runner = Self {
+            plan,
+            tables,
+            worker: Worker::with_kernel(kernel),
+            kernel,
+        };
+        Ok((runner, leased))
+    }
+
+    /// Run one of the leased cells.
+    pub(crate) fn run(&mut self, cell: &CellSpec) -> RunResult {
+        self.worker.run_cell(&self.plan, cell, &self.tables)
     }
 }
 

@@ -145,6 +145,7 @@ impl Value {
 /// Parse one JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -158,6 +159,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -248,10 +250,7 @@ impl Parser<'_> {
                 return Err(format!("invalid number at byte {start}"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number tokens are ASCII")
-            .to_string();
-        Ok(Value::Num(text))
+        Ok(Value::Num(self.text[start..self.pos].to_string()))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -281,14 +280,17 @@ impl Parser<'_> {
                             let hi = self.hex4()?;
                             let code = if (0xD800..0xDC00).contains(&hi) {
                                 // Surrogate pair: require the low half.
-                                if self.peek() == Some(b'\\') {
+                                let lo = if self.peek() == Some(b'\\') {
                                     self.pos += 1;
                                     self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00))
+                                    self.hex4()?
                                 } else {
+                                    0
+                                };
+                                if !(0xDC00..0xE000).contains(&lo) {
                                     return Err("lone high surrogate".to_string());
                                 }
+                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                             } else {
                                 hi
                             };
@@ -304,13 +306,15 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err("raw control byte in string".to_string()),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so boundaries
-                    // are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte. Those are ASCII, so the run ends on a
+                    // char boundary.
+                    let start = self.pos;
+                    self.pos += self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -1303,6 +1307,38 @@ mod tests {
             "\"unterminated",
         ] {
             assert!(parse(bad).is_err(), "'{bad}' must be rejected");
+        }
+    }
+
+    #[test]
+    fn megabyte_string_round_trips() {
+        // ASCII runs, multibyte UTF-8, every escape and a surrogate pair,
+        // repeated past 1 MB: string parsing must stay linear in length.
+        let chunk_json =
+            r#"ascii run é ü 漢字 🦀 \" \\ \/ \b \f \n \r \t \u0041 \u00e9 \ud83e\udd80 "#;
+        let chunk = "ascii run é ü 漢字 🦀 \" \\ / \u{8} \u{c} \n \r \t A é 🦀 ";
+        let reps = (1 << 20) / chunk.len() + 1;
+        let want = chunk.repeat(reps);
+        assert!(want.len() >= 1 << 20);
+        let literal = format!("\"{}\"", chunk_json.repeat(reps));
+        assert_eq!(parse(&literal).unwrap().as_str(), Some(want.as_str()));
+        assert_eq!(parse(&jstr(&want)).unwrap().as_str(), Some(want.as_str()));
+    }
+
+    #[test]
+    fn string_rejections_name_the_fault() {
+        for (bad, why) in [
+            ("\"abc", "unterminated string"),
+            ("\"abc\\", "unterminated escape"),
+            ("\"a\u{1}b\"", "raw control byte in string"),
+            ("\"\\q\"", "invalid escape '\\q'"),
+            ("\"\\u12zz\"", "invalid \\u escape '12zz'"),
+            ("\"\\u12", "truncated \\u escape"),
+            ("\"\\ud83e\"", "lone high surrogate"),
+            ("\"\\ud83e\\u0041\"", "lone high surrogate"),
+            ("\"\\udd80\"", "invalid codepoint 0xdd80"),
+        ] {
+            assert_eq!(parse(bad).unwrap_err(), why, "{bad:?}");
         }
     }
 

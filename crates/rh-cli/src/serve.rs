@@ -67,6 +67,7 @@
 
 use crate::cache::{CellStore, ResultCache};
 use crate::engine::RunResult;
+use crate::exec::LeaseRunner;
 use crate::faults::FaultPlan;
 use crate::json;
 use crate::plan::SweepPlan;
@@ -295,6 +296,7 @@ impl Job {
     }
 }
 
+#[derive(Default)]
 struct State {
     jobs: HashMap<u64, Job>,
     /// Client-visible job ids (for `cancel`).
@@ -350,36 +352,35 @@ struct Inner {
     work: Condvar,
     /// Signaled on job completion, hello, and failure.
     done: Condvar,
-    kernel: KernelChoice,
-    shard_cells: usize,
-    /// TCP listen mode: workers may attach later, so an empty pool blocks
-    /// instead of failing jobs.
-    allow_late_workers: bool,
-    /// Required `config_epoch` in worker hellos.
-    config_epoch: u64,
-    /// In-process fallback deadline (`None` = fail fast, the pre-existing
-    /// behavior).
-    fallback_after: Option<Duration>,
-    /// Speculation floor (`None` = no speculation).
-    speculate_after: Option<Duration>,
-    /// Admission bound on unfinished jobs coordinator-wide.
-    max_pending_jobs: usize,
-    /// Per-client concurrent-job quota.
-    max_jobs_per_client: usize,
-    /// Per-client queued-cell quota.
-    max_cells_per_client: usize,
-    /// Adaptive shard sizer target (ms per lease); 0 = fixed width.
-    target_lease_ms: u64,
-    /// First-line (and auth-challenge) deadline for TCP connections.
-    handshake_timeout: Duration,
-    /// Shared secret; `None` accepts unauthenticated peers.
-    auth_token: Option<String>,
-    /// Coordinator-side `slow-client` fault: injected latency before each
-    /// client reply.
-    slow_client_delay: Option<Duration>,
-    /// Coordinator-side `cancel-after-cells` fault: cancel the job whose
-    /// cell is the Nth merged coordinator-wide.
-    cancel_after_cells: Option<u64>,
+    /// The options the coordinator started with, counts clamped to at
+    /// least 1. `listen` set means workers may attach later, so an empty
+    /// pool blocks instead of failing jobs.
+    opts: ServeOptions,
+}
+
+impl Inner {
+    /// Shared state for a coordinator over `store`: no jobs, no workers,
+    /// every counter at zero.
+    fn new(mut opts: ServeOptions, store: Option<CellStore>) -> Self {
+        for count in [
+            &mut opts.shard_cells,
+            &mut opts.max_pending_jobs,
+            &mut opts.max_jobs_per_client,
+            &mut opts.max_cells_per_client,
+        ] {
+            *count = (*count).max(1);
+        }
+        Self {
+            state: Mutex::new(State {
+                cache: ResultCache::new(opts.cache_capacity),
+                store,
+                ..State::default()
+            }),
+            work: Condvar::new(),
+            done: Condvar::new(),
+            opts,
+        }
+    }
 }
 
 /// A running coordinator. Submit jobs via [`Coordinator::submit`] (the TCP
@@ -399,50 +400,8 @@ impl Coordinator {
             Some(dir) => Some(CellStore::open(dir, &opts.fault_plan)?),
             None => None,
         };
-        let inner = Arc::new(Inner {
-            state: Mutex::new(State {
-                jobs: HashMap::new(),
-                named: HashMap::new(),
-                queue: VecDeque::new(),
-                cache: ResultCache::new(opts.cache_capacity),
-                store,
-                inflight: HashMap::new(),
-                active: HashMap::new(),
-                ewma_cell_millis: None,
-                worker_ewma_ms: HashMap::new(),
-                list_ewma_ms: [None, None],
-                next_job: 0,
-                next_shard: 0,
-                live_workers: 0,
-                local_hellos: 0,
-                spawn_failed: None,
-                rejected_connections: 0,
-                rejected_workers: 0,
-                disk_hits: 0,
-                rejected_submits: 0,
-                auth_failures: 0,
-                cancelled_jobs: 0,
-                merged_cells_total: 0,
-                shutting_down: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-            kernel: opts.kernel,
-            shard_cells: opts.shard_cells.max(1),
-            allow_late_workers: opts.listen.is_some(),
-            config_epoch: opts.config_epoch,
-            fallback_after: opts.fallback_after,
-            speculate_after: opts.speculate_after,
-            max_pending_jobs: opts.max_pending_jobs.max(1),
-            max_jobs_per_client: opts.max_jobs_per_client.max(1),
-            max_cells_per_client: opts.max_cells_per_client.max(1),
-            target_lease_ms: opts.target_lease_ms,
-            handshake_timeout: opts.handshake_timeout,
-            auth_token: opts.auth_token.clone(),
-            slow_client_delay: opts.fault_plan.slow_client_delay(),
-            cancel_after_cells: opts.fault_plan.cancel_after_cells(),
-        });
-        let listen_addr = match &opts.listen {
+        let inner = Arc::new(Inner::new(opts, store));
+        let listen_addr = match &inner.opts.listen {
             Some(addr) => {
                 let listener =
                     TcpListener::bind(addr).map_err(|e| format!("cannot listen on {addr}: {e}"))?;
@@ -464,8 +423,9 @@ impl Coordinator {
             handlers: Mutex::new(Vec::new()),
             listen_addr,
         };
+        let opts = &coordinator.inner.opts;
 
-        if coordinator.inner.speculate_after.is_some() {
+        if opts.speculate_after.is_some() {
             let sup = Arc::clone(&coordinator.inner);
             let handle = std::thread::spawn(move || supervise_stragglers(&sup));
             coordinator
@@ -480,7 +440,7 @@ impl Coordinator {
             None => std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?,
         };
         for i in 0..opts.workers {
-            coordinator.spawn_local_worker(&program, i, &opts)?;
+            coordinator.spawn_local_worker(&program, i, opts)?;
         }
 
         // Hello barrier: a submit issued right after start() must find the
@@ -603,16 +563,6 @@ impl Coordinator {
             .lock()
             .expect("coordinator lock")
             .rejected_workers
-    }
-
-    /// Connections dropped because their first line decoded as neither a
-    /// worker hello nor a client message.
-    pub fn rejected_connections(&self) -> u64 {
-        self.inner
-            .state
-            .lock()
-            .expect("coordinator lock")
-            .rejected_connections
     }
 
     /// Submits answered from the cell store with every cell on disk.
@@ -772,7 +722,7 @@ impl Inner {
         //    like a cache hit, and the LRU is warmed. An in-flight job for
         //    the key has cells still missing, so that case coalesces below
         //    without reading the store.
-        let mut job = Job::new(plan, key, inner.kernel, client, deadline_ms);
+        let mut job = Job::new(plan, key, inner.opts.kernel, client, deadline_ms);
         if !st.inflight.contains_key(&key) {
             if let Some(store) = st.store.as_mut() {
                 job.restore(store);
@@ -838,11 +788,11 @@ impl Inner {
                 my_cells += other.remaining;
             }
         }
-        let refused = if total >= inner.max_pending_jobs {
+        let refused = if total >= inner.opts.max_pending_jobs {
             Some("queue_full")
-        } else if mine >= inner.max_jobs_per_client {
+        } else if mine >= inner.opts.max_jobs_per_client {
             Some("client_job_quota")
-        } else if my_cells + job_cells > inner.max_cells_per_client {
+        } else if my_cells + job_cells > inner.opts.max_cells_per_client {
             Some("client_cell_quota")
         } else {
             None
@@ -856,7 +806,10 @@ impl Inner {
         // 5. New job: it keeps the restored cells and leases only the misses.
         let job_id = st.next_job;
         st.next_job += 1;
-        if st.live_workers == 0 && !inner.allow_late_workers && inner.fallback_after.is_none() {
+        if st.live_workers == 0
+            && inner.opts.listen.is_none()
+            && inner.opts.fallback_after.is_none()
+        {
             return Err(SubmitError::Failed(
                 "no live workers and none can attach (start with --workers or --listen)"
                     .to_string(),
@@ -920,7 +873,7 @@ impl Inner {
                             continue;
                         }
                     }
-                    if let Some(deadline) = inner.fallback_after {
+                    if let Some(deadline) = inner.opts.fallback_after {
                         if st.live_workers == 0 && started.elapsed() >= deadline {
                             let mine: Vec<Lease> = st
                                 .queue
@@ -1044,15 +997,15 @@ fn adaptive_width(inner: &Inner, st: &State, list: ShardList) -> usize {
     /// Upper bound on adaptive lease width — bounds both the wire message
     /// size and the blast radius of one worker death.
     const MAX_ADAPTIVE_CELLS: usize = 1_024;
-    if inner.target_lease_ms == 0 {
-        return inner.shard_cells;
+    if inner.opts.target_lease_ms == 0 {
+        return inner.opts.shard_cells;
     }
     match st.list_ewma_ms[list_slot(list)] {
         Some(ms) if ms > 0.0 => {
-            let ideal = (inner.target_lease_ms as f64 / ms).round() as usize;
+            let ideal = (inner.opts.target_lease_ms as f64 / ms).round() as usize;
             ideal.clamp(1, MAX_ADAPTIVE_CELLS)
         }
-        _ => inner.shard_cells,
+        _ => inner.opts.shard_cells,
     }
 }
 
@@ -1070,7 +1023,7 @@ fn list_slot(list: ShardList) -> usize {
 /// identically).
 fn run_leases_in_process(inner: &Arc<Inner>, leases: &[Lease]) {
     for lease in leases {
-        let (config, kernel) = {
+        let (plan, kernel) = {
             let st = inner.state.lock().expect("coordinator lock");
             let Some(job) = st.jobs.get(&lease.job) else {
                 continue;
@@ -1078,39 +1031,25 @@ fn run_leases_in_process(inner: &Arc<Inner>, leases: &[Lease]) {
             if job.done.is_some() {
                 continue;
             }
-            (job.plan.config.clone(), job.kernel)
+            (Arc::clone(&job.plan), job.kernel)
         };
-        let resolved = match kernel.resolve() {
-            Ok(k) => k,
+        let run = LeaseRunner::new(plan, kernel, lease.list, &lease.indices);
+        let (mut runner, leased) = match run {
+            Ok(lease) => lease,
             Err(e) => {
                 let mut st = inner.state.lock().expect("coordinator lock");
                 fail_job(inner, &mut st, lease.job, &e);
                 continue;
             }
         };
-        let sweep_plan = match SweepPlan::from_config(&config) {
-            Ok(p) => p,
-            Err(e) => {
-                let mut st = inner.state.lock().expect("coordinator lock");
-                fail_job(inner, &mut st, lease.job, &e);
-                continue;
-            }
-        };
-        let cells = match lease.list {
-            ShardList::Grid => &sweep_plan.grid,
-            ShardList::Para => &sweep_plan.para_sweep,
-        };
-        let leased: Vec<_> = lease.indices.iter().map(|&i| cells[i].clone()).collect();
-        let tables = crate::exec::build_table_cache(&sweep_plan, &leased);
-        let mut runner = crate::exec::Worker::with_kernel(resolved);
         for (&index, cell) in lease.indices.iter().zip(&leased) {
-            let result = runner.run_cell(&sweep_plan, cell, &tables);
+            let result = runner.run(cell);
             let mut st = inner.state.lock().expect("coordinator lock");
             record_cell(
                 inner,
                 &mut st,
                 "in-process",
-                resolved.name(),
+                runner.kernel.name(),
                 lease.job,
                 lease.shard,
                 lease.list,
@@ -1128,7 +1067,10 @@ fn run_leases_in_process(inner: &Arc<Inner>, leases: &[Lease]) {
 /// Determinism makes the duplicate execution harmless; [`record_cell`]
 /// asserts the duplicates really are bit-exact.
 fn supervise_stragglers(inner: &Arc<Inner>) {
-    let floor = inner.speculate_after.expect("supervisor requires a floor");
+    let floor = inner
+        .opts
+        .speculate_after
+        .expect("supervisor requires a floor");
     let tick = (floor / 8).max(Duration::from_millis(25));
     let mut st = inner.state.lock().expect("coordinator lock");
     loop {
@@ -1313,12 +1255,12 @@ fn vet_worker<W: Write>(
         Some(format!(
             "protocol version {proto_version} does not match coordinator version {PROTO_VERSION}"
         ))
-    } else if config_epoch != inner.config_epoch {
+    } else if config_epoch != inner.opts.config_epoch {
         Some(format!(
             "config epoch {config_epoch} does not match coordinator epoch {}",
-            inner.config_epoch
+            inner.opts.config_epoch
         ))
-    } else if let Some(token) = inner.auth_token.as_ref().filter(|_| !local) {
+    } else if let Some(token) = inner.opts.auth_token.as_ref().filter(|_| !local) {
         let expected = proto::auth_proof(token, auth_nonce);
         if auth_proof.is_some_and(|p| proto::constant_time_eq(p, &expected)) {
             None
@@ -1381,7 +1323,7 @@ fn worker_session<R: BufRead, W: Write>(
                 if st.shutting_down {
                     drop(st);
                     let _ = write_line(writer, &ToWorker::Shutdown.encode());
-                    worker_gone(inner, name, local);
+                    worker_gone(inner, name);
                     return;
                 }
                 match st.queue.pop_front() {
@@ -1414,7 +1356,7 @@ fn worker_session<R: BufRead, W: Write>(
         };
         if write_line(writer, &msg.encode()).is_err() {
             requeue(inner, &lease);
-            worker_gone(inner, name, local);
+            worker_gone(inner, name);
             return;
         }
         {
@@ -1445,7 +1387,7 @@ fn worker_session<R: BufRead, W: Write>(
                     st.active.remove(&lease.shard);
                     drop(st);
                     requeue(inner, &lease);
-                    worker_gone(inner, name, local);
+                    worker_gone(inner, name);
                     return;
                 }
             };
@@ -1493,7 +1435,7 @@ fn worker_session<R: BufRead, W: Write>(
                         && write_line(writer, &ToWorker::Cancel { job }.encode()).is_err()
                     {
                         requeue(inner, &lease);
-                        worker_gone(inner, name, local);
+                        worker_gone(inner, name);
                         return;
                     }
                     if settled {
@@ -1648,7 +1590,7 @@ fn record_cell(
     stat.1 += 1;
     let complete = job.remaining == 0;
     st.merged_cells_total += 1;
-    if !complete && Some(st.merged_cells_total) == inner.cancel_after_cells {
+    if !complete && Some(st.merged_cells_total) == inner.opts.fault_plan.cancel_after_cells() {
         // Chaos arm: the job owning the Nth merged cell coordinator-wide
         // is canceled mid-flight, exercising the whole cancel pipeline
         // (teardown, worker-side abandonment, counters) on a schedule.
@@ -1715,12 +1657,12 @@ fn requeue(inner: &Arc<Inner>, lease: &Lease) {
 /// ever attach, and in-process fallback is off, pending jobs fail fast
 /// instead of hanging (with fallback on, the submitting threads pick the
 /// stranded leases up themselves).
-fn worker_gone(inner: &Arc<Inner>, name: &str, _local: bool) {
+fn worker_gone(inner: &Arc<Inner>, name: &str) {
     let mut st = inner.state.lock().expect("coordinator lock");
     st.live_workers = st.live_workers.saturating_sub(1);
     if st.live_workers == 0
-        && !inner.allow_late_workers
-        && inner.fallback_after.is_none()
+        && inner.opts.listen.is_none()
+        && inner.opts.fallback_after.is_none()
         && !st.shutting_down
     {
         let stuck: Vec<u64> = st
@@ -1769,7 +1711,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
             // not pin a thread forever, and an authenticated first line
             // (the proof rides the hello) must arrive within the same
             // deadline.
-            let _ = stream.set_read_timeout(Some(inner.handshake_timeout));
+            let _ = stream.set_read_timeout(Some(inner.opts.handshake_timeout));
             let Ok(read_half) = stream.try_clone() else {
                 return;
             };
@@ -1867,7 +1809,7 @@ fn client_session<R: BufRead, W: Write>(
     // client opening many connections is still one client). In-memory
     // test transports pass a plain label through unchanged.
     let client = peer.rsplit_once(':').map_or(peer, |(host, _)| host);
-    let mut authed = inner.auth_token.is_none();
+    let mut authed = inner.opts.auth_token.is_none();
     let mut line = first.to_string();
     loop {
         let mut hangup = false;
@@ -1875,7 +1817,7 @@ fn client_session<R: BufRead, W: Write>(
             Ok(ClientMsg::Hello {
                 auth_nonce,
                 auth_proof,
-            }) => match &inner.auth_token {
+            }) => match &inner.opts.auth_token {
                 Some(token)
                     if proto::constant_time_eq(
                         &auth_proof,
@@ -1927,7 +1869,7 @@ fn client_session<R: BufRead, W: Write>(
         // `slow-client` chaos arm: a client that drains replies slowly.
         // Injected coordinator-side so the latency (and the back-pressure
         // it creates) is deterministic under test.
-        if let Some(delay) = inner.slow_client_delay {
+        if let Some(delay) = inner.opts.fault_plan.slow_client_delay() {
             std::thread::sleep(delay);
         }
         if write_line(writer, &reply).is_err() || hangup {
@@ -2283,49 +2225,19 @@ mod tests {
         max_jobs_per_client: usize,
         max_cells_per_client: usize,
     ) -> Arc<Inner> {
-        Arc::new(Inner {
-            state: Mutex::new(State {
-                jobs: HashMap::new(),
-                named: HashMap::new(),
-                queue: VecDeque::new(),
-                cache: ResultCache::new(8),
-                store: None,
-                inflight: HashMap::new(),
-                active: HashMap::new(),
-                ewma_cell_millis: None,
-                worker_ewma_ms: HashMap::new(),
-                list_ewma_ms: [None, None],
-                next_job: 0,
-                next_shard: 0,
-                live_workers: 0,
-                local_hellos: 0,
-                spawn_failed: None,
-                rejected_connections: 0,
-                rejected_workers: 0,
-                disk_hits: 0,
-                rejected_submits: 0,
-                auth_failures: 0,
-                cancelled_jobs: 0,
-                merged_cells_total: 0,
-                shutting_down: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-            kernel: KernelChoice::Auto,
+        let opts = ServeOptions {
+            cache_capacity: 8,
             shard_cells: 4,
-            allow_late_workers: true,
-            config_epoch: 0,
-            fallback_after: None,
+            // Workers may attach late: an empty pool blocks, never fails.
+            listen: Some("unbound".to_string()),
             speculate_after: None,
             max_pending_jobs,
             max_jobs_per_client,
             max_cells_per_client,
-            target_lease_ms: 1_500,
-            handshake_timeout: Duration::from_secs(10),
             auth_token,
-            slow_client_delay: None,
-            cancel_after_cells: None,
-        })
+            ..ServeOptions::default()
+        };
+        Arc::new(Inner::new(opts, None))
     }
 
     /// Insert a fresh job for `cfg` and return its id plus the reference

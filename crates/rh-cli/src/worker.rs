@@ -52,7 +52,7 @@
 //! is reported back in the `shard_done` line, so the merged report can
 //! record what each worker actually ran.
 
-use crate::exec::{build_table_cache, Worker as CellRunner};
+use crate::exec::LeaseRunner;
 use crate::faults::{CellFate, FaultPlan, LineFate};
 use crate::plan::SweepPlan;
 use crate::proto::{
@@ -491,42 +491,20 @@ fn run_shard<W: Write>(
     kernel: KernelChoice,
     config: &crate::sweep::SweepConfig,
 ) -> Result<bool, String> {
-    let fail = |plan: &mut FaultPlan, message: String| -> Result<bool, String> {
-        let msg = FromWorker::Fail {
-            job,
-            shard,
-            message,
-        };
-        send(writer, plan, &msg.encode()).map_err(|e| format!("worker: write: {e}"))?;
-        Ok(true)
+    let lease = SweepPlan::from_config(config)
+        .and_then(|p| LeaseRunner::new(Arc::new(p), kernel, list, indices));
+    let (mut runner, leased) = match lease {
+        Ok(lease) => lease,
+        Err(message) => {
+            let msg = FromWorker::Fail {
+                job,
+                shard,
+                message,
+            };
+            send(writer, plan, &msg.encode()).map_err(|e| format!("worker: write: {e}"))?;
+            return Ok(true);
+        }
     };
-
-    let resolved = match kernel.resolve() {
-        Ok(k) => k,
-        Err(e) => return fail(plan, e),
-    };
-    let sweep_plan = match SweepPlan::from_config(config) {
-        Ok(p) => p,
-        Err(e) => return fail(plan, e),
-    };
-    let cells = match list {
-        ShardList::Grid => &sweep_plan.grid,
-        ShardList::Para => &sweep_plan.para_sweep,
-    };
-    if let Some(&bad) = indices.iter().find(|&&i| i >= cells.len()) {
-        return fail(
-            plan,
-            format!(
-                "shard index {bad} out of bounds for {} list of {} cells",
-                list.name(),
-                cells.len()
-            ),
-        );
-    }
-
-    let leased: Vec<_> = indices.iter().map(|&i| cells[i].clone()).collect();
-    let tables = build_table_cache(&sweep_plan, &leased);
-    let mut runner = CellRunner::with_kernel(resolved);
     for (&index, cell) in indices.iter().zip(&leased) {
         // Cancellation is checked at cell boundaries: a `cancel` queued by
         // the reader thread abandons the rest of the lease immediately,
@@ -536,12 +514,12 @@ fn run_shard<W: Write>(
             send(writer, plan, &ack.encode()).map_err(|e| format!("worker: write: {e}"))?;
             return Ok(true);
         }
-        let result = runner.run_cell(&sweep_plan, cell, &tables);
+        let result = runner.run(cell);
         let msg = FromWorker::Cell {
             job,
             shard,
             index,
-            kernel: resolved.name().to_string(),
+            kernel: runner.kernel.name().to_string(),
             result,
         };
         send(writer, plan, &msg.encode()).map_err(|e| format!("worker: write: {e}"))?;
@@ -554,7 +532,7 @@ fn run_shard<W: Write>(
     let done = FromWorker::ShardDone {
         job,
         shard,
-        kernel: resolved.name().to_string(),
+        kernel: runner.kernel.name().to_string(),
     };
     send(writer, plan, &done.encode()).map_err(|e| format!("worker: write: {e}"))?;
     Ok(true)
